@@ -545,11 +545,14 @@ _EDGE_MEMO: dict = {}
 
 
 def _edge_memo_key(*parts):
+    """Memo key for the current Ray job, or None without one: a caller then
+    neither looks up nor stores (an unmatchable placeholder key would only
+    pin a dead entry per call)."""
     import ray as _ray
     try:
         jid = _ray.get_runtime_context().get_job_id()
-    except Exception:  # no session yet: never cache across unknown sessions
-        jid = object()
+    except Exception:  # no session: never cache across unknown sessions
+        return None
     return (jid,) + parts
 
 
@@ -563,7 +566,7 @@ def part_cooccurrence_edges(sf_dir: str, num_partitions: int = 32):
     from .basket import _sweep_pairs
 
     key = _edge_memo_key("cooc", sf_dir, num_partitions)
-    if key in _EDGE_MEMO:
+    if key is not None and key in _EDGE_MEMO:
         return _EDGE_MEMO[key]
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -575,7 +578,8 @@ def part_cooccurrence_edges(sf_dir: str, num_partitions: int = 32):
         li.map_batches(slim, batch_format="pandas"), ["o"],
         lambda df: _sweep_pairs(df).drop_duplicates(), num_partitions)
     res = distinct_rows(pairs, ["a", "b"], num_partitions).materialize()
-    _EDGE_MEMO[key] = res
+    if key is not None:
+        _EDGE_MEMO[key] = res
     return res
 
 
@@ -593,7 +597,7 @@ def part_cosupport_edges(sf_dir: str, min_support: int = 2,
     from .basket import pair_support_counts
 
     key = _edge_memo_key("cosup", sf_dir, min_support, num_partitions)
-    if key in _EDGE_MEMO:
+    if key is not None and key in _EDGE_MEMO:
         return _EDGE_MEMO[key]
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     supp = pair_support_counts(li, "l_orderkey", "l_partkey",
@@ -603,7 +607,8 @@ def part_cosupport_edges(sf_dir: str, min_support: int = 2,
         return df.loc[df["pair_support"] >= min_support, ["a", "b"]]
 
     res = supp.map_batches(keep, batch_format="pandas").materialize()
-    _EDGE_MEMO[key] = res
+    if key is not None:
+        _EDGE_MEMO[key] = res
     return res
 
 

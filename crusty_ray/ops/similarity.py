@@ -1380,7 +1380,7 @@ def knn_graph_quant_ds(sf_dir: str, k: int = KNN_GRAPH_BASE_K,
     from .graph import _EDGE_MEMO, _edge_memo_key
 
     memo_key = _edge_memo_key("knn", sf_dir, k, n_buckets, num_partitions)
-    if memo_key in _EDGE_MEMO:
+    if memo_key is not None and memo_key in _EDGE_MEMO:
         return _EDGE_MEMO[memo_key]
 
     ds = _io_read(f"{sf_dir}/embeddings.parquet",
@@ -1436,7 +1436,8 @@ def knn_graph_quant_ds(sf_dir: str, k: int = KNN_GRAPH_BASE_K,
     res = grouped_top_n(partials, ["vec_id"], "qdot", k, ascending=False,
                         tie_cols=["neighbor_id"], rank_col="rnk",
                         num_partitions=num_partitions).materialize()
-    _EDGE_MEMO[memo_key] = res
+    if memo_key is not None:
+        _EDGE_MEMO[memo_key] = res
     return res
 
 

@@ -3,25 +3,29 @@
 Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
 (``workspace/main/src/crusty.rs:514-592``) with, per epoch:
 
-1. **take_ready** on every frontier shard actor → this epoch's fetch tasks
-   (politeness + priority + budgets enforced inside the shard, SURVEY §3.4);
-2. a streaming Dataset pipeline
-   ``from_arrow(tasks) → map_batches(FetchStage) → map_batches(DiscoverStage)
-   → map_batches(RouterStage) → write_parquet(crawl_log/epoch=N)`` —
-   zero-copy Arrow batches, actor pools for the stateful stages, single pass
-   (the router absorbs results into the owning shard actor and projects the
-   crawl-log columns for the sink);
-3. the epoch barrier: ``end_epoch`` on every shard (deterministic expansion +
-   finishes), driver-mediated cross-shard enqueue messages (small descriptor
-   rows only — the reference's interop::Domain JSON), ``apply_enqueues``;
-4. top-k decay/add/snapshot, queue gauges, and a full checkpoint every
+1. **take_ready_refs** on every scoped frontier shard actor → this epoch's
+   fetch tasks as actor-local Arrow blocks (politeness + priority + budgets
+   enforced inside the shard, SURVEY §3.4);
+2. one fused ``EpochStage`` (fetch → discover → route → log projection) over
+   those blocks. It writes each batch's absorb rows shard-grouped to scratch
+   storage and its crawl-log part to ``crawl_log/epoch=N``, both under
+   retry-deterministic names. Below ``engine.min_epoch_rows_for_ray`` tasks
+   the stage runs in-process on the driver (task-launch overhead would
+   dominate); at or above it, as ``from_arrow_refs → map_batches(EpochStage)
+   → materialize()``. Only where it runs differs;
+3. the epoch barrier (``_barrier``, shared with streaming mode): every shard
+   reads its absorb partition and runs ``end_epoch`` (deterministic
+   expansion + finishes), writing its cross-shard enqueue messages and top-k
+   counts to the storage exchange; then every shard reads its exchange
+   partition, updates the top-k buckets it owns and applies its enqueues —
+   fused with the next epoch's dequeue when prefetching. Shards meet only
+   at storage (reference: crusty.rs:550-560);
+4. top-k snapshot, queue gauges, and a full checkpoint every
    ``checkpoint_every_epochs`` (frontier + seen segments + top-k + lineage →
    exact resume, SURVEY §7.4.6).
 
-Epochs below ``engine.min_epoch_rows_for_ray`` rows run inline on the driver
-with the *same stage objects* (task-launch overhead would dominate); the Ray
-path and inline path are semantically identical and both are conformance-
-tested against the simulator oracle.
+Both stage placements and every barrier are conformance-tested against the
+simulator oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
+import time
 from typing import Optional
 
 import pyarrow as pa
@@ -43,7 +49,6 @@ from ..stages.discover import DiscoverStage
 from ..stages.fetch import FetchStage
 from ..state.frontier import DomainMsg, ShardState
 from .spool import MetricsSpool
-from .topk import route_topk_counts
 
 LOG_COLUMNS = [
     "epoch", "seq", "url", "domain", "depth", "shard", "status_code",
@@ -62,10 +67,18 @@ def _cap_arrow_pools() -> None:
     instances restore __dict__ without re-running __init__."""
     global _PA_POOLS_CAPPED
     if not _PA_POOLS_CAPPED:
-        if not os.environ.get("CRUSTY_NO_PA_CAP"):  # A/B escape hatch
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(2)
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
         _PA_POOLS_CAPPED = True
+
+
+def task_block_rows(cfg: Config) -> int:
+    """Rows per task block (``take_ready_refs``), which is also the Ray
+    path's batch size: one EpochStage call per block writes one crawl-log
+    part per block, as many files as a per-task sink wrote. Half-block
+    batches doubled the log's files (links_deep: 42 vs 21) and slowed its
+    readers (the image stage: 3.2 vs 2.4 s on 4 vCPUs)."""
+    return max(256, cfg.engine.fetch_batch_size * 2)
 
 
 @ray.remote
@@ -88,35 +101,27 @@ class FrontierShardActor:
     def apply_enqueues(self, epoch: int) -> None:
         self.state.apply_enqueues(epoch)
 
-    def take_ready(self, epoch: int) -> list[dict]:
-        return self.state.take_ready(epoch)
-
-    def take_ready_table(self, epoch: int) -> "pa.Table":
-        """Arrow variant: the task table is built in parallel inside the
-        actors instead of serially on the driver."""
-        tasks = self.state.take_ready(epoch)
-        return pa.table({
-            "url": [t["url"] for t in tasks],
-            "domain": [t["domain"] for t in tasks],
-            "depth": pa.array([t["depth"] for t in tasks], pa.int32()),
-            "shard": pa.array([t["shard"] for t in tasks], pa.int32()),
-        })
-
     def take_ready_refs(self, epoch: int) -> list[tuple]:
         """Epoch task blocks as actor-LOCAL ObjectRefs + row counts.
 
-        The blocks are born in this shard's node's object store, so on a
-        multi-node cluster the Dataset built from them (from_arrow_refs)
-        schedules fetch tasks next to their input instead of pulling every
-        block from the head node — and the driver never materializes the
-        O(epoch-tasks) table at all (it sees only refs + counts). Rows carry
-        ``local_seq``; the fused stage turns that into the global (epoch,
-        seq) ordering via the per-shard offsets the driver computes from the
-        counts."""
-        t = self.take_ready_table(epoch)
-        t = t.append_column("local_seq",
-                            pa.array(range(t.num_rows), pa.int64()))
-        step = max(256, self.state.cfg.engine.fetch_batch_size * 2)
+        The task table is built here, in parallel across the actors, not
+        serially on the driver. The blocks are born in this shard's node's
+        object store, so on a multi-node cluster the Dataset built from them
+        (from_arrow_refs) schedules fetch tasks next to their input instead
+        of pulling every block from the head node — and the driver never
+        materializes the O(epoch-tasks) table unless it runs the stage
+        in-process. Rows carry ``local_seq``; the fused stage turns that
+        into the global (epoch, seq) ordering via the per-shard offsets the
+        driver computes from the counts."""
+        tasks = self.state.take_ready(epoch)
+        t = pa.table({
+            "url": [x["url"] for x in tasks],
+            "domain": [x["domain"] for x in tasks],
+            "depth": pa.array([x["depth"] for x in tasks], pa.int32()),
+            "shard": pa.array([x["shard"] for x in tasks], pa.int32()),
+            "local_seq": pa.array(range(len(tasks)), pa.int64()),
+        })
+        step = task_block_rows(self.state.cfg)
         out = []
         for i in range(0, t.num_rows, step):
             # combine_chunks: a pickled slice would serialize the whole
@@ -125,86 +130,46 @@ class FrontierShardActor:
             out.append((ray.put(sub), sub.num_rows))
         return out
 
-    def deliver_and_take(self, msgs: list[DomainMsg], epoch: int,
-                         next_epoch: int,
-                         exchange_dir: str | None = None,
-                         topk: dict | None = None) -> tuple:
-        """Fused epoch-boundary round trip: deliver epoch N's cross-shard
-        messages, then immediately dequeue epoch N+1's tasks and report
-        idleness — one actor RPC instead of two/three (the take_ready and
-        idle-poll rounds were a measured part of the parallelism-independent
-        per-epoch cost, BASELINE.md)."""
-        if exchange_dir is not None:
-            self._read_exchange(exchange_dir)
-            topk = self._read_topk_exchange(exchange_dir) or topk
-        self.state.topk_store.advance_and_add(epoch, topk or {})
-        self.state.enqueue(msgs)
-        self.state.apply_enqueues(epoch)
-        return self.take_ready_refs(next_epoch), self.state.idle()
+    def finish_epoch(self, epoch: int, absorb_dir: str,
+                     exchange_dir: str) -> dict:
+        """Read this shard's routed rows from storage, then end_epoch +
+        gauges in one round trip (barrier-cost discipline).
 
-    def absorb(self, rows: list[dict]) -> int:
-        return self.state.absorb(rows)
-
-    def absorb_for(self, epoch: int, rows: list[dict]) -> int:
-        return self.state.absorb_for(epoch, rows)
-
-    def absorb_table(self, table) -> int:
-        return self.state.absorb_table(table)
-
-    def pending_result_rows(self) -> int:
-        return self.state.pending_result_rows()
-
-    def end_epoch(self, epoch: int) -> dict:
-        return self.state.end_epoch(epoch)
-
-    def finish_epoch(self, epoch: int, absorb_dir: str | None = None,
-                     exchange_dir: str | None = None) -> dict:
-        """(optionally read this shard's routed rows from storage, then)
-        end_epoch + gauges in one round trip (barrier-cost discipline).
-
-        With ``exchange_dir`` set, outgoing cross-shard discovery messages are
-        written shard-grouped to storage instead of returned — the receiving
-        actors read their own partition at delivery (reference semantics:
-        nodes only meet at the shard store, crusty.rs:550-560). This removes
-        the r1 driver-mediated enqueue funnel: the driver never touches the
-        O(discovered-domains) message volume."""
-        if absorb_dir is not None:
-            g = self.state.shard // EpochStage.SHARDS_PER_GROUP
-            d = f"{absorb_dir}/group={g}"
-            if os.path.isdir(d):
-                import pyarrow.compute as pc
-                import pyarrow.feather as pf
-                parts = []
-                for name in sorted(os.listdir(d)):  # deterministic order
-                    t = pf.read_table(f"{d}/{name}", memory_map=True)
-                    sel = t.filter(pc.equal(t["shard"], self.state.shard))
-                    if sel.num_rows:
-                        parts.append(sel)
-                if parts:
-                    self.state.absorb_table(pa.concat_tables(parts))
+        Outgoing cross-shard discovery messages and top-k counts are written
+        shard-grouped to the storage exchange, never returned — the
+        receiving actors read their own partition at delivery (reference
+        semantics: nodes only meet at the shard store, crusty.rs:550-560).
+        The driver never touches the O(discovered-domains) message volume;
+        it gets job metrics, gauges and the outgoing message count."""
+        g = self.state.shard // EpochStage.SHARDS_PER_GROUP
+        d = f"{absorb_dir}/group={g}"
+        if os.path.isdir(d):
+            import pyarrow.compute as pc
+            import pyarrow.feather as pf
+            parts = []
+            for name in sorted(os.listdir(d)):  # deterministic order
+                t = pf.read_table(f"{d}/{name}", memory_map=True)
+                sel = t.filter(pc.equal(t["shard"], self.state.shard))
+                if sel.num_rows:
+                    parts.append(sel)
+            if parts:
+                self.state.absorb_table(pa.concat_tables(parts))
         out = self.state.end_epoch(epoch)
         out["gauges"] = self.state.gauges(epoch)
         # A1 pre-agg (redis_operators.rs:93-100): count this shard's
-        # domain_links HERE — only the small {domain: int} dict ever leaves,
-        # never the O(links) mention lists (r2 VERDICT #1a)
+        # domain_links HERE and ship the counts shard-to-owner through the
+        # exchange (integer merging at the owner is associative, so
+        # per-shard partials are exactly the centrally-merged totals)
         from collections import Counter
         counts: Counter[str] = Counter()
         for name, linked in out.pop("domain_links"):
             counts[name] += 1
             for d in linked:
                 counts[d] += 1
-        if exchange_dir is not None:
-            # storage-exchange epochs ship the counts shard-to-owner through
-            # the same exchange files as the enqueue messages — the driver
-            # never touches even the pre-aggregated dicts (integer merging
-            # at the owner is associative, so per-shard partials are exactly
-            # the centrally-merged totals)
-            self._write_topk_exchange(counts, exchange_dir)
-            out["topk_counts"] = {}
-            self._write_exchange(out.pop("outgoing"), exchange_dir)
-            out["outgoing"] = {}
-        else:
-            out["topk_counts"] = dict(counts)
+        self._write_topk_exchange(counts, exchange_dir)
+        outgoing = out.pop("outgoing")
+        out["n_outgoing"] = sum(len(m["domain"]) for m in outgoing.values())
+        self._write_exchange(outgoing, exchange_dir)
         return out
 
     def _write_topk_exchange(self, counts, exchange_dir: str) -> None:
@@ -295,33 +260,27 @@ class FrontierShardActor:
                 "disc_epoch": t["disc_epoch"].to_pylist(),
             })
 
-    def deliver(self, msgs: list[DomainMsg], epoch: int,
-                exchange_dir: str | None = None,
-                topk: dict | None = None) -> None:
-        """enqueue (direct and/or from the storage exchange) + top-k owner
-        update + apply, in one round trip."""
-        if exchange_dir is not None:
-            self._read_exchange(exchange_dir)
-            topk = self._read_topk_exchange(exchange_dir) or topk
-        self.state.topk_store.advance_and_add(epoch, topk or {})
-        self.state.enqueue(msgs)
+    def deliver(self, epoch: int, exchange_dir: str,
+                next_epoch: int | None = None) -> tuple | None:
+        """Enqueue from the storage exchange + top-k owner update + apply,
+        in one round trip. With ``next_epoch``, also dequeue that epoch's
+        tasks and report idleness — one actor RPC instead of two/three (the
+        take_ready and idle-poll rounds were a measured part of the
+        parallelism-independent per-epoch cost, BASELINE.md)."""
+        self._read_exchange(exchange_dir)
+        self.state.topk_store.advance_and_add(
+            epoch, self._read_topk_exchange(exchange_dir))
         self.state.apply_enqueues(epoch)
+        if next_epoch is None:
+            return None
+        return self.take_ready_refs(next_epoch), self.state.idle()
 
     def topk_snapshot(self, epoch: int) -> dict:
         """Ranked rows for the top-k buckets this shard owns."""
         return self.state.topk_store.snapshot(epoch)
 
-    def gauges(self, epoch: int) -> dict:
-        return self.state.gauges(epoch)
-
     def idle(self) -> bool:
         return self.state.idle()
-
-    def checkpoint(self) -> dict:
-        return self.state.checkpoint()
-
-    def restore(self, snap: dict) -> None:
-        self.state.restore(snap)
 
     def checkpoint_to(self, path: str) -> None:
         """Write this shard's snapshot to its own file (atomic) — per-shard
@@ -369,7 +328,8 @@ class StageMetricsActor:
 
 
 class EpochStage:
-    """Fused fetch → discover → route → log-projection in ONE task stage.
+    """Fused fetch → discover → route → log write in ONE stage — the only
+    place an epoch's or a permit's tasks are executed.
 
     Chained ``map_batches`` materialize every intermediate block through the
     object store; the epoch pipeline touches each block three times for no
@@ -377,20 +337,27 @@ class EpochStage:
     usable standalone (and as actor pools) for deployments where fetch state
     is heavy.
 
-    Routing is **shuffle-via-storage**: each task writes its results
-    shard-partitioned under ``absorb_dir/shard=S/``; the owning actors read
+    Routing is **shuffle-via-storage**: each batch writes its results
+    shard-grouped under ``absorb_dir/group=G/``; the owning actors read
     their partition at the epoch barrier. Direct actor RPCs convoyed every
     task behind 32 single-threaded mailboxes and pushed every sub-table
     through the plasma store (measured 28k → 14k pages/s); files make the
-    exchange parallel on both ends and double as epoch lineage. The dataset's
-    own sink completing IS the delivery barrier."""
+    exchange parallel on both ends and double as epoch lineage. Each batch
+    also writes its own crawl-log part to ``log_dir``, so every batch having
+    returned IS the delivery barrier. Both file names derive from (epoch,
+    min seq): a rerun of the batch overwrites its own files.
+
+    The engine calls ``process`` when it runs the stage in-process on the
+    driver; Ray Data map tasks call the instance, which first caps the
+    worker's pyarrow pools."""
 
     def __init__(self, web_cfg: WebConfig, cfg: Config, absorb_dir: str,
-                 rules=None, metrics=None, epoch: int | None = None,
-                 seq_offsets=None):
+                 log_dir: str, rules=None, metrics=None,
+                 epoch: int | None = None, seq_offsets=None):
         self.fetch = FetchStage(web_cfg, cfg, rules=rules)
         self.discover = DiscoverStage(web_cfg, cfg, rules=rules)
         self.absorb_dir = absorb_dir
+        self.log_dir = log_dir
         self.metrics = metrics  # StageMetricsActor handle (optional)
         # ref-fed path (take_ready_refs): blocks carry local_seq; this stage
         # derives the global ordering columns from the per-shard offsets
@@ -400,12 +367,23 @@ class EpochStage:
     SHARDS_PER_GROUP = 8  # absorb-file granularity: fewer files per task;
                           # readers prune by the shard column
 
+    # only what the stateful chain needs crosses the shuffle (the raw links /
+    # rels stay task-local; pure filters already ran in DiscoverStage);
+    # "shard" lets group-file readers prune to their own rows
+    ABSORB_COLUMNS = ["url", "domain", "depth", "shard", "sched_links",
+                      "cand_domains", "cand_addr_keys", "cand_shards"]
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
         _cap_arrow_pools()  # in the WORKER process — __init__ runs on the
         # driver and unpickling skips it, so a cap there never reaches the
         # map tasks (and would throttle the driver instead)
+        return self.process(batch)
+
+    def process(self, batch: pa.Table) -> pa.Table:
+        """Run one batch; returns its one-row (rows, bytes) summary."""
+        import numpy as np
+        import pyarrow.compute as pc
+        import pyarrow.feather as pf
         if self.seq_offsets is not None:
             shard_np = batch.column("shard").to_numpy(zero_copy_only=False)
             seq = (self.seq_offsets[shard_np]
@@ -416,12 +394,12 @@ class EpochStage:
                                           dtype=np.int32), pa.int32()))
             batch = batch.append_column("seq", pa.array(seq, pa.int64()))
         out = self.discover(self.fetch(batch))
+        nbytes = int(pc.sum(out["read_size_b"]).as_py() or 0)
+        summary = pa.table({"rows": pa.array([out.num_rows], pa.int64()),
+                            "bytes": pa.array([nbytes], pa.int64())})
         if out.num_rows == 0:
-            # nothing to fetch → no absorb file, but the returned block must
-            # keep the SAME LOG_COLUMNS schema as every non-empty block or
-            # the downstream parquet write fails on cross-block mismatch
-            return log_projection(out)
-        slim = out.select(RouterStage.ABSORB_COLUMNS)
+            return summary  # nothing fetched → no absorb or log file
+        slim = out.select(self.ABSORB_COLUMNS)
         groups = pc.divide(out["shard"], self.SHARDS_PER_GROUP)
         # deterministic per-batch name: seq values partition the epoch's task
         # table, so (epoch, min seq) uniquely names this batch and a Ray task
@@ -438,61 +416,32 @@ class EpochStage:
             # string/list-heavy rows (measured; barrier time is
             # parallelism-independent so it gates scaling efficiency).
             # Sorted by shard for reader locality.
-            sub = sub.sort_by("shard")
-            import pyarrow.feather as pf
-            pf.write_feather(sub, f"{d}/part-{blob}.arrow",
+            pf.write_feather(sub.sort_by("shard"), f"{d}/part-{blob}.arrow",
                              compression="lz4")
+        os.makedirs(self.log_dir, exist_ok=True)
+        pq.write_table(log_projection(out),
+                       f"{self.log_dir}/part-{blob}.parquet")
         if self.metrics is not None:
             # fire-and-forget telemetry (one tiny RPC per batch)
-            self.metrics.bump.remote(
-                out.num_rows, int(pc.sum(out["read_size_b"]).as_py() or 0))
-        return log_projection(out)
-
-
-class RouterStage:
-    """Direct actor-RPC routing variant (Arrow sub-tables via the object
-    store). The engine's live path is EpochStage's shuffle-via-storage — this
-    stage remains as the low-latency alternative for small shard counts and
-    documents the absorb column contract (ABSORB_COLUMNS)."""
-
-    def __init__(self, handles: list):
-        self.handles = handles
-
-    # only what the stateful chain needs crosses the shuffle (the raw links /
-    # rels stay task-local; pure filters already ran in DiscoverStage);
-    # "shard" lets group-file readers prune to their own rows
-    ABSORB_COLUMNS = ["url", "domain", "depth", "shard", "sched_links",
-                      "cand_domains", "cand_addr_keys", "cand_shards"]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        shards = batch["shard"]
-        slim = batch.select(self.ABSORB_COLUMNS)
-        for s in pc.unique(shards).to_pylist():
-            sub = slim.filter(pc.equal(shards, s))
-            # fire-and-forget: blocking on per-call acks convoys every task
-            # behind 32 single-threaded actor mailboxes (measured 28k -> 14k
-            # pages/s). The engine's epoch barrier instead polls the actors
-            # until every routed row is accounted for (count-based barrier).
-            self.handles[s].absorb_table.remote(sub)
-        return log_projection(batch)
+            self.metrics.bump.remote(out.num_rows, nbytes)
+        return summary
 
 
 def flatten_shard_refs(shard_refs: list[list], shard_min: int,
                        n_shards: int):
-    """(off_arr, flat_pairs): per-shard global-seq offsets plus the
-    non-empty (ref, rows) pairs in shard-asc order — ONE implementation
-    shared by the BSP loop and the streaming launcher so the seq rule can
-    never diverge between modes."""
+    """(off_arr, flat_refs): per-shard global-seq offsets plus the
+    non-empty block refs in shard-asc order — ONE implementation shared by
+    the BSP loop and the streaming launcher so the seq rule can never
+    diverge between modes."""
     import numpy as np
     off_arr = np.zeros(n_shards, dtype=np.int64)
     acc = 0
-    flat: list[tuple] = []
+    flat: list = []
     for i, refs in enumerate(shard_refs):
         off_arr[shard_min + i] = acc
         for r, n in refs:
             if n > 0:
-                flat.append((r, n))
+                flat.append(r)
             acc += n
     return off_arr, flat
 
@@ -553,9 +502,6 @@ class CrawlEngine:
         self.start_epoch = 0
         self.epochs_run = 0
         self._stop_requested = False
-        # inline-path stage objects (same classes the Ray path instantiates)
-        self._fetcher = FetchStage(web_cfg, cfg, rules=rules)
-        self._discoverer = DiscoverStage(web_cfg, cfg, rules=rules)
 
     # Run-telemetry read-back (tests / small-scale summaries; at scale read
     # the parquet partitions directly — each property access re-reads the
@@ -622,7 +568,6 @@ class CrawlEngine:
         run's checkpoints — a stale LATEST would otherwise let a resume()
         after an early crash silently restore the OLD run's state against
         the NEW run's crawl log."""
-        import shutil
         self.spool.reset()
         log_root = f"{self.out_dir}/crawl_log"
         for d in os.listdir(log_root):
@@ -652,6 +597,17 @@ class CrawlEngine:
             out.extend(part)
         return out
 
+    def _seed(self) -> None:
+        """Fresh run (both modes): clear any previous run's partitions on a
+        reused out_dir, then enqueue the seeds and apply them as epoch 0."""
+        self._reset_outputs()
+        by_shard: dict[int, list[DomainMsg]] = {}
+        for m in self._resolve_seeds():
+            by_shard.setdefault(m.shard, []).append(m)
+        ray.get([self.actors[s].enqueue.remote(ms)
+                 for s, ms in by_shard.items()])
+        ray.get([a.apply_enqueues.remote(0) for a in self.actors])
+
     # ------------------------------------------------------------------ run
     def run(self, max_epochs: Optional[int] = None) -> "CrawlEngine":
         cfg = self.cfg
@@ -668,21 +624,10 @@ class CrawlEngine:
         prev_handlers = self._install_signal_handlers()
         try:
             if self.start_epoch == 0:
-                # fresh run (the guard above rejects re-entry): clear any
-                # previous run's partitions on a reused out_dir
-                self._reset_outputs()
-                msgs = self._resolve_seeds()
-                by_shard: dict[int, list[DomainMsg]] = {}
-                for m in msgs:
-                    by_shard.setdefault(m.shard, []).append(m)
-                ray.get([self.actors[s].enqueue.remote(ms)
-                         for s, ms in by_shard.items()])
-                ray.get([a.apply_enqueues.remote(0) for a in self.actors])
-
+                self._seed()  # the guard above rejects re-entry
             # max_epochs is the absolute epoch horizon (resume continues
             # toward the same horizon the uninterrupted run would have had)
-            import os as _os
-            trace = _os.environ.get("CRUSTY_EPOCH_TRACE")
+            trace = os.environ.get("CRUSTY_EPOCH_TRACE")
             # scoped shards: this node dequeues only [shard_min, shard_max)
             # but enqueues/routes to ALL shards (conf/default.yaml:35-43
             # semantics; in the Ray re-expression "another node's shards" are
@@ -700,9 +645,8 @@ class CrawlEngine:
 
     def _run_loop(self, cfg, max_epochs, scoped, prefetched, trace) -> None:
         import sys as _sys
-        import time as _time
         for epoch in range(self.start_epoch, max_epochs):
-            t0 = _time.time()
+            t0 = time.time()
             if prefetched is None:
                 shard_refs = ray.get([a.take_ready_refs.remote(epoch)
                                       for a in scoped])
@@ -716,13 +660,10 @@ class CrawlEngine:
                 if all(idles):
                     break
             # deterministic task order: shard asc, per-shard emission order
-            # (ref order = shard order, local_seq order within a shard).
-            # n_tasks may be 0 with non-idle shards (delay_epochs>1 / timeout
-            # jitter parks every domain) — still run the barrier below,
-            # exactly like the simulator.
+            # (ref order = shard order, local_seq order within a shard)
             off_arr, flat_refs = flatten_shard_refs(
                 shard_refs, cfg.jobs.shard_min, len(self.actors))
-            t1 = _time.time()
+            t1 = time.time()
             # prefetch epoch N+1's dequeue inside the delivery RPC — except
             # past the horizon (the sim never calls take_ready(max_epochs)),
             # on checkpoint epochs (the checkpoint must snapshot pre-dequeue
@@ -734,11 +675,10 @@ class CrawlEngine:
                                     or epoch + 1 >= max_epochs)
                 else epoch + 1)
             self.epoch_stats.append({"epoch": epoch, "tasks": n_tasks,
-                                     "seconds": _time.time() - t0})
-            self.spool.maybe_flush(epoch)
+                                     "seconds": time.time() - t0})
             if trace:
                 print(f"[epoch {epoch}] tasks={n_tasks} take_ready={t1-t0:.2f}s "
-                      f"run={_time.time()-t1:.2f}s", file=_sys.stderr, flush=True)
+                      f"run={time.time()-t1:.2f}s", file=_sys.stderr, flush=True)
             self.epochs_run = epoch + 1
             if is_ckpt:
                 self._write_checkpoint(epoch)
@@ -752,219 +692,157 @@ class CrawlEngine:
                           file=_sys.stderr, flush=True)
                 break
 
-    def _run_epoch(self, epoch: int, refs: list[tuple], n_tasks: int,
+    def _run_epoch(self, epoch: int, refs: list, n_tasks: int,
                    off_arr, next_epoch: int | None = None) -> tuple | None:
+        t0 = time.time()
+        self._clear_epoch(epoch)
+        # n_tasks may be 0 with non-idle shards (delay_epochs>1 / timeout
+        # jitter parks every domain): no stage, no log partition — the
+        # simulator writes no rows for such an epoch either — but the
+        # barrier must still run so delay state advances
+        if n_tasks:
+            self._run_stage(epoch, refs, n_tasks, off_arr, t0, sample=True)
+        return self._barrier(epoch, n_tasks, next_epoch)[2]
+
+    def _epoch_dirs(self, epoch: int) -> tuple[str, str, str]:
+        """(crawl-log, absorb, exchange) directories of one epoch/permit."""
+        return (f"{self.out_dir}/crawl_log/epoch={epoch}",
+                f"{self.scratch}/absorb/epoch={epoch}",
+                f"{self.scratch}/exchange/epoch={epoch}")
+
+    def _clear_epoch(self, epoch: int) -> None:
+        """Remove whatever an earlier attempt at this epoch left: a crashed
+        run over a reused out_dir, or a failed stage before its replay. A
+        shard with no rows this time would not overwrite its stale file,
+        and the barrier would ingest phantom rows."""
+        for d in self._epoch_dirs(epoch):
+            shutil.rmtree(d, ignore_errors=True)
+
+    def _run_stage(self, epoch: int, refs: list, n_tasks: int, off_arr,
+                   t0: float, sample: bool = False) -> None:
+        """Run one epoch's (or permit's) EpochStage over its task blocks.
+
+        Below ``min_epoch_rows_for_ray`` tasks the stage runs in-process on
+        the driver over the concatenated blocks (block order = shard asc +
+        local_seq asc, so the offsets yield a plain arange of seq) and
+        spools one stage-gauge row timed from ``t0``. Otherwise it runs as a
+        Ray Data map over the actor-local blocks; there ``sample`` adds the
+        sub-epoch gauge sampler on the shared metrics actor — BSP only, as
+        overlapping streaming permits would mix its totals."""
         cfg = self.cfg
-        import os as _os2
-        import sys as _sys2
-        import time as _time2
-        _t0 = _time2.time()
-        log_dir = f"{self.out_dir}/crawl_log/epoch={epoch}"
-        absorb_dir: str | None = f"{self.scratch}/absorb/epoch={epoch}"
-        # Ray-path epochs exchange cross-shard discoveries through storage
-        # (shard-to-shard); tiny inline epochs keep the O(tiny) driver merge
-        exchange_dir: str | None = f"{self.scratch}/exchange/epoch={epoch}"
+        in_process = n_tasks < cfg.engine.min_epoch_rows_for_ray
+        sample = sample and not in_process
+        log_dir, absorb_dir, _ = self._epoch_dirs(epoch)
+        stage = EpochStage(self.web_cfg, cfg, absorb_dir, log_dir,
+                           rules=self.rules,
+                           metrics=self.metrics_actor if sample else None,
+                           epoch=epoch, seq_offsets=off_arr)
+        if in_process:
+            # process(), not stage(): the pool cap is for Ray workers only
+            summary = stage.process(pa.concat_tables(ray.get(refs)))
+            self.spool.add("stage_gauges", [{
+                "epoch": epoch, "t_s": round(time.time() - t0, 3),
+                "rows": summary["rows"][0].as_py(),
+                "bytes": summary["bytes"][0].as_py(), "batches": 1}])
+            return
+        # Dataset straight from the actor-local block refs: blocks are
+        # already ≥256-row chunks (take_ready_refs), they never pass through
+        # the driver, and on a multi-node cluster the map tasks schedule
+        # next to their input block's node. No repartition: the r1 coarse
+        # repartition before the sink was an all-to-all that serialized the
+        # epoch behind 3 tasks (measured 13.8k → 19.9k pages/s at 32 cores
+        # from removing it). The stage writes its own files, so the terminal
+        # call only has to run every batch.
+        ds = ray.data.from_arrow_refs(refs).map_batches(
+            stage, batch_format="pyarrow",
+            batch_size=task_block_rows(cfg))
+        if not sample:
+            ds.materialize()
+            return
+        # sub-epoch sampler (A5 1 s cadence): reads the metrics actor's
+        # totals while the pipeline streams, so long epochs are visible
+        import threading
+        stop_evt = threading.Event()
+        base = ray.get(self.metrics_actor.snapshot.remote())
 
-        if n_tasks == 0:
-            # zero ready tasks but shards not idle (delayed domains): no
-            # pipeline, no log partition — the simulator writes no rows for
-            # such an epoch either — but the barrier below must still run so
-            # delay state advances.
-            absorb_dir = exchange_dir = None
-        elif n_tasks < cfg.engine.min_epoch_rows_for_ray:
-            absorb_dir = exchange_dir = None  # inline path absorbs via direct RPC
-            self.run_inline_tasks([r for r, _ in refs], epoch, n_tasks,
-                                  log_dir, t0=_t0)
-        else:
-            # a prior crashed attempt at this epoch (driver died between the
-            # absorb writes and the post-barrier cleanup) may have left stale
-            # absorb files — clear them so re-running never double-absorbs
-            import shutil as _shutil
-            _shutil.rmtree(absorb_dir, ignore_errors=True)
-            _shutil.rmtree(exchange_dir, ignore_errors=True)
-            # Dataset straight from the actor-local block refs: blocks are
-            # already ≥256-row chunks (take_ready_refs), they never pass
-            # through the driver, and on a multi-node cluster the map tasks
-            # schedule next to their input block's node (locality) instead
-            # of all pulling from the head node.
-            ds = ray.data.from_arrow_refs([r for r, _ in refs])
-            # one fused task stage (fetch+discover+route) = one object-store
-            # pass per block. Instance-passed → stateless Ray tasks; the
-            # component classes remain actor-pool-ready for deployments whose
-            # fetch state (HTTP sessions, robots caches) is expensive.
-            ds = ds.map_batches(EpochStage(self.web_cfg, cfg, absorb_dir,
-                                           rules=self.rules,
-                                           metrics=self.metrics_actor,
-                                           epoch=epoch, seq_offsets=off_arr),
-                                batch_format="pyarrow",
-                                batch_size=cfg.engine.fetch_batch_size)
-            # NO repartition before the sink: the r1 coarse repartition
-            # (nblocks//16 ≈ 3 writers) was an all-to-all that serialized the
-            # whole epoch behind 3 tasks — measured 13.8k → 19.9k pages/s at
-            # 32 cores from removing it. Per-block log files (~2-4k rows
-            # each) are fine for the arrow-dataset readers; at 100 TB the
-            # per-epoch file count equals the block count, which the absorb
-            # group scheme already bounds.
-            # sub-epoch sampler (A5 1 s cadence): reads the metrics actor's
-            # totals while the pipeline streams, so long epochs are visible
-            import threading as _threading
-            stop_evt = _threading.Event()
-            base = ray.get(self.metrics_actor.snapshot.remote())
+        def _sample():
+            t_start = time.time()
+            while True:
+                finished = stop_evt.wait(cfg.engine.gauge_interval_s)
+                snap = ray.get(self.metrics_actor.snapshot.remote())
+                # buffer append only (GIL-atomic); flushes happen on the
+                # driver thread between epochs, never concurrently
+                self.spool.add("stage_gauges", [{
+                    "epoch": epoch,
+                    "t_s": round(time.time() - t_start, 3),
+                    "rows": snap["rows"] - base["rows"],
+                    "bytes": snap["bytes"] - base["bytes"],
+                    "batches": snap["batches"] - base["batches"]}])
+                if finished:
+                    return
 
-            def _sample():
-                t_start = _time2.time()
-                while True:
-                    finished = stop_evt.wait(cfg.engine.gauge_interval_s)
-                    snap = ray.get(self.metrics_actor.snapshot.remote())
-                    # buffer append only (GIL-atomic); flushes happen on the
-                    # driver thread between epochs, never concurrently
-                    self.spool.add("stage_gauges", [{
-                        "epoch": epoch,
-                        "t_s": round(_time2.time() - t_start, 3),
-                        "rows": snap["rows"] - base["rows"],
-                        "bytes": snap["bytes"] - base["bytes"],
-                        "batches": snap["batches"] - base["batches"]}])
-                    if finished:
-                        return
+        sampler = threading.Thread(target=_sample, daemon=True)
+        sampler.start()
+        t_w = time.time()
+        try:
+            ds.materialize()
+        finally:
+            stop_evt.set()
+            sampler.join()
+        self.spool.add("db_metrics", [{
+            "epoch": epoch, "op": "pipeline_and_log_write", "rows": n_tasks,
+            "ms": round((time.time() - t_w) * 1000, 1)}])
 
-            sampler = _threading.Thread(target=_sample, daemon=True)
-            sampler.start()
-            _t_w = _time2.time()
-            try:
-                ds.write_parquet(log_dir)
-            finally:
-                stop_evt.set()
-                sampler.join()
-            self.spool.add("db_metrics", [{
-                "epoch": epoch, "op": "pipeline_and_log_write",
-                "rows": n_tasks,
-                "ms": round((_time2.time() - _t_w) * 1000, 1)}])
-            if _os2.environ.get("CRUSTY_EPOCH_TRACE"):
-                print(f"  [e{epoch}] dataset+write done at +{_time2.time()-_t0:.2f}s",
-                      file=_sys2.stderr, flush=True)
+    def _barrier(self, epoch: int, n_tasks: int,
+                 next_epoch: int | None = None) -> tuple:
+        """The epoch barrier of both modes: finish_epoch on every shard
+        (absorb read + end_epoch + exchange write) → spool its job metrics
+        and gauges → deliver on every shard (exchange read + top-k owner
+        update + apply; scoped shards also dequeue ``next_epoch`` when
+        given) → top-k snapshot → scratch cleanup.
 
-        # ---- epoch barrier. The log sink completing is the delivery barrier:
-        # every stage task has finished, so every shard's absorb partition is
-        # fully written (inline path delivered via ray.get on absorb acks).
-        import os as _os
-        import sys as _sys
-        import time as _time
-        trace = _os.environ.get("CRUSTY_EPOCH_TRACE")
-        _t_ds = _time.time()
-        results = ray.get([a.finish_epoch.remote(epoch, absorb_dir, exchange_dir)
+        Every stage task has returned before this runs, so every shard's
+        absorb partition is complete. Returns (absorb+end_epoch seconds,
+        deliver seconds, the prefetched (refs, idles) or None)."""
+        cfg = self.cfg
+        _, absorb_dir, exchange_dir = self._epoch_dirs(epoch)
+        t0 = time.time()
+        results = ray.get([a.finish_epoch.remote(epoch, absorb_dir,
+                                                 exchange_dir)
                            for a in self.actors])
-        if absorb_dir is not None:
-            import shutil
-            shutil.rmtree(absorb_dir, ignore_errors=True)  # consumed; log+checkpoints carry lineage
+        shutil.rmtree(absorb_dir, ignore_errors=True)  # consumed; log+checkpoints carry lineage
+        absorb_apply = time.time() - t0
         self.spool.add("db_metrics", [{
             "epoch": epoch, "op": "absorb_read_end_epoch", "rows": n_tasks,
-            "ms": round((_time.time() - _t_ds) * 1000, 1)}])
-        if trace:
-            print(f"  [e{epoch}] end_epoch barrier done at +{_time.time()-_t_ds:.2f}s",
-                  file=_sys.stderr, flush=True)
-        outgoing, topk_by_owner = self.merge_finish_results(results)
-        # every shard must apply (even with no messages) so late state settles
-        # and every top-k owner takes its decay step. Scoped shards fuse next
-        # epoch's dequeue into the same round trip (deliver_and_take) when
-        # the caller asked for a prefetch.
-        cfg_j = self.cfg.jobs
-        futures, take_futures = [], []
-        for s in range(len(self.actors)):
-            msgs = outgoing.get(s, [])
-            tk = topk_by_owner.get(s)
-            if (next_epoch is not None
-                    and cfg_j.shard_min <= s < cfg_j.shard_max):
-                take_futures.append(self.actors[s].deliver_and_take.remote(
-                    msgs, epoch, next_epoch, exchange_dir, tk))
-            else:
-                futures.append(self.actors[s].deliver.remote(
-                    msgs, epoch, exchange_dir, tk))
-        _t_dl = _time.time()
-        ray.get(futures)
-        results2 = ray.get(take_futures)  # scoped order preserved
-        self.spool.add("db_metrics", [{
-            "epoch": epoch, "op": "enqueue_deliver",
-            "rows": sum(len(m["domain"]) for m in outgoing.values()),
-            "ms": round((_time.time() - _t_dl) * 1000, 1)}])
-        if (epoch + 1) % cfg.topk.consume_every_epochs == 0:
-            self.spool.add("topk_rows", self._collect_topk_snapshot(epoch))
-        if exchange_dir is not None:
-            import shutil
-            shutil.rmtree(exchange_dir, ignore_errors=True)  # consumed
-        if next_epoch is None:
-            return None
-        return [t for t, _ in results2], [i for _, i in results2]
-
-    def run_inline_tasks(self, flat_refs: list, epoch: int, n_tasks: int,
-                         log_dir: str, absorb_epoch: int | None = None,
-                         t0: float | None = None):
-        """Inline (non-Ray) execution of one small epoch/permit: concat the
-        shards' task blocks, stamp epoch/seq (ref order = shard asc +
-        local_seq asc, so the global seq is a plain arange — identical to
-        the offsets the Ray path applies), fetch+discover in-process with
-        the same stage objects, absorb per shard, write the crawl-log
-        partition, spool the stage/db telemetry. Shared by the BSP inline
-        branch and streaming-mode ``run_inline`` — one copy, no drift.
-        ``absorb_epoch`` buckets the absorb to a specific barrier (streaming
-        windows overlap; the spool is lock-protected for its threads)."""
-        import time as _time2
-
-        import pyarrow.compute as _pc
-        if t0 is None:
-            t0 = _time2.time()
-        table = pa.concat_tables(ray.get(list(flat_refs)))
-        table = table.drop_columns(["local_seq"])
-        table = table.append_column(
-            "epoch", pa.array([epoch] * n_tasks, pa.int32()))
-        table = table.append_column(
-            "seq", pa.array(range(n_tasks), pa.int64()))
-        out = self._discoverer(self._fetcher(table))
-        self.spool.add("stage_gauges", [{
-            "epoch": epoch, "t_s": round(_time2.time() - t0, 3),
-            "rows": out.num_rows,
-            "bytes": int(_pc.sum(out["read_size_b"]).as_py() or 0),
-            "batches": 1}])
-        by_shard: dict[int, list[dict]] = {}
-        for r in out.to_pylist():
-            by_shard.setdefault(r["shard"], []).append(r)
-        if absorb_epoch is None:
-            ray.get([self.actors[s].absorb.remote(rs)
-                     for s, rs in by_shard.items()])
-        else:
-            ray.get([self.actors[s].absorb_for.remote(absorb_epoch, rs)
-                     for s, rs in by_shard.items()])
-        os.makedirs(log_dir, exist_ok=True)
-        _t_w = _time2.time()
-        pq.write_table(log_projection(out), f"{log_dir}/part-0.parquet")
-        self.spool.add("db_metrics", [{
-            "epoch": epoch, "op": "crawl_log_write", "rows": n_tasks,
-            "ms": round((_time2.time() - _t_w) * 1000, 1)}])
-        return out
-
-    def merge_finish_results(self, results: list[dict]) -> tuple[dict, dict]:
-        """Fold the shards' ``finish_epoch`` outputs into spool writes +
-        shard-routed outgoing messages + the per-owner top-k count map.
-        Merges the pre-aggregated counts with exact int adds (transient
-        O(distinct domains this epoch) on the driver; the decayed score
-        state lives in the owner shards). Shared by the BSP epoch barrier
-        and streaming-mode permit completion — one copy, no drift."""
-        from collections import Counter
-        total_counts: Counter[str] = Counter()
-        outgoing: dict[int, dict] = {}
-        for res in results:  # actor order = shard order (deterministic merge)
-            total_counts.update(res["topk_counts"])
+            "ms": round(absorb_apply * 1000, 1)}])
+        for res in results:  # actor order = shard order (deterministic)
             jm = res["job_metrics"]
             self.spool.add("job_metrics", jm)
             self._pages_fetched_total += sum(m["pages_fetched"] for m in jm)
             self._jobs_finished_total += len(jm)
             self.spool.add("gauges", [res["gauges"]])
-            for tgt, msgs in res["outgoing"].items():
-                acc = outgoing.setdefault(tgt, {
-                    "domain": [], "addr_key": [], "disc_depth": [],
-                    "disc_epoch": []})
-                for k in acc:
-                    acc[k].extend(msgs[k])
-        return outgoing, route_topk_counts(total_counts, len(self.actors))
+        # every shard must apply (even with no messages) so late state
+        # settles and every top-k owner takes its decay step
+        t1 = time.time()
+        scoped = (range(cfg.jobs.shard_min, cfg.jobs.shard_max)
+                  if next_epoch is not None else range(0))
+        taken = ray.get([a.deliver.remote(epoch, exchange_dir,
+                                          next_epoch if s in scoped else None)
+                         for s, a in enumerate(self.actors)])
+        deliver = time.time() - t1
+        self.spool.add("db_metrics", [{
+            "epoch": epoch, "op": "enqueue_deliver",
+            "rows": sum(res["n_outgoing"] for res in results),
+            "ms": round(deliver * 1000, 1)}])
+        if (epoch + 1) % cfg.topk.consume_every_epochs == 0:
+            self.spool.add("topk_rows", self._collect_topk_snapshot(epoch))
+        shutil.rmtree(exchange_dir, ignore_errors=True)  # consumed
+        self.spool.maybe_flush(epoch)
+        if next_epoch is None:
+            return absorb_apply, deliver, None
+        taken = [taken[s] for s in scoped]  # scoped order = shard order
+        return (absorb_apply, deliver,
+                ([t for t, _ in taken], [i for _, i in taken]))
 
     def _collect_topk_snapshot(self, epoch: int) -> list[dict]:
         """Gather owners' ranked buckets and emit them in the central
@@ -986,15 +864,14 @@ class CrawlEngine:
         parallel (driver stays O(1) in shard_total), plus a small driver
         manifest. LATEST flips atomically only after every file is durable —
         a torn checkpoint never becomes visible."""
-        import time as _time
-        _t0 = _time.time()
+        t0 = time.time()
         ckpt_dir = f"{self.out_dir}/checkpoints/epoch_{epoch:06d}"
         os.makedirs(ckpt_dir, exist_ok=True)
         ray.get([a.checkpoint_to.remote(f"{ckpt_dir}/shard_{s:05d}.pkl")
                  for s, a in enumerate(self.actors)])
         self.spool.add("db_metrics", [{
             "epoch": epoch, "op": "checkpoint_write", "rows": len(self.actors),
-            "ms": round((_time.time() - _t0) * 1000, 1)}])
+            "ms": round((time.time() - t0) * 1000, 1)}])
         # flush telemetry buffers so the durable partitions agree with this
         # checkpoint (resume drops anything flushed after it); the driver
         # manifest carries only O(1) counters — the top-k state is inside the
@@ -1049,11 +926,9 @@ class CrawlEngine:
         # drop crawl-log partitions written after the checkpoint (stale lineage)
         for d in os.listdir(f"{out_dir}/crawl_log"):
             if d.startswith("epoch=") and int(d.split("=")[1]) > snap["epoch"]:
-                import shutil
                 shutil.rmtree(f"{out_dir}/crawl_log/{d}")
         # stale absorb/exchange files from a crashed epoch would double-apply
         # on replay
-        import shutil
         shutil.rmtree(f"{eng.scratch}/absorb", ignore_errors=True)
         shutil.rmtree(f"{eng.scratch}/exchange", ignore_errors=True)
         return eng
@@ -1061,7 +936,6 @@ class CrawlEngine:
     # ------------------------------------------------------------- outputs
     def _write_outputs(self) -> None:
         if self.scratch != self.out_dir:
-            import shutil
             shutil.rmtree(self.scratch, ignore_errors=True)  # no shm litter
         # telemetry partitions were flushed continuously; drain the tails
         self.spool.flush_all(max(0, self.epochs_run - 1))

@@ -252,16 +252,3 @@ class BucketTopK:
                            for b, sc in snap["scores"].items()}
             self.sketches = {}
 
-
-def route_topk_counts(total_counts: dict[str, int],
-                      n_shards: int) -> dict[int, dict[str, dict[str, int]]]:
-    """Split an epoch's int-merged domain counts into per-owner bucket
-    payloads: each domain contributes to its TLD bucket and the global ''
-    bucket (redis-calc/src/lib.rs:37-50)."""
-    by_owner: dict[int, dict[str, dict[str, int]]] = {}
-    for dom, cnt in total_counts.items():
-        tld = dom.rpartition(".")[2]
-        for bucket in (tld, ""):
-            owner = bucket_owner(bucket, n_shards)
-            by_owner.setdefault(owner, {}).setdefault(bucket, {})[dom] = cnt
-    return by_owner

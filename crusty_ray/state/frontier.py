@@ -122,11 +122,6 @@ class ShardState:
 
         self._absorbed: list[dict] = []
         self._absorbed_tables: list = []
-        # streaming mode's inline permits absorb via RPC while LATER permits
-        # may already be in flight (bounded window): bucket those rows by
-        # their own permit so barrier N never drains permit N+1's results
-        # (which would mis-stamp disc_epoch/job metrics)
-        self._absorbed_by_epoch: dict[int, list[dict]] = {}
         self._enqueue_buf: list[DomainMsg] = []
         # dequeue ttl 10m ≈ 600 epochs (conf/default.yaml:83-87) — but the
         # lock must outlive the longest legal job, or a re-discovered domain
@@ -177,8 +172,7 @@ class ShardState:
 
         Accepts a list of DomainMsg or the columnar wire form
         ``{"domain": [...], "addr_key": [...], "disc_depth": [...],
-        "disc_epoch": [...]}`` — columnar costs ~10× less to serialize than
-        dataclass objects on the driver-mediated exchange."""
+        "disc_epoch": [...]}`` that the storage exchange reads back."""
         if isinstance(msgs, dict):
             it = zip(msgs["domain"], msgs["addr_key"],
                      msgs["disc_depth"], msgs["disc_epoch"])
@@ -291,29 +285,16 @@ class ShardState:
         self._absorbed.extend(rows)
         return len(rows)
 
-    def absorb_for(self, epoch: int, rows: list[dict]) -> int:
-        """Buffer results for a SPECIFIC epoch's barrier (streaming inline
-        permits, where later permits overlap earlier barriers)."""
-        self._absorbed_by_epoch.setdefault(epoch, []).extend(rows)
-        return len(rows)
-
     def absorb_table(self, table) -> int:
         """Arrow-table variant (zero-pickle transport); converted to row dicts
         lazily at the epoch barrier."""
         self._absorbed_tables.append(table)
         return table.num_rows
 
-    def pending_result_rows(self) -> int:
-        """Rows routed here but not yet processed — the epoch barrier's
-        delivery check."""
-        return (len(self._absorbed)
-                + sum(len(r) for r in self._absorbed_by_epoch.values())
-                + sum(t.num_rows for t in self._absorbed_tables))
-
     _RESULT_COLS = ("domain", "depth", "url", "sched_links",
                     "cand_domains", "cand_addr_keys", "cand_shards")
 
-    def _drain_absorbed_sorted(self, epoch: int | None = None) -> tuple:
+    def _drain_absorbed_sorted(self) -> tuple:
         """Absorbed results as column lists sorted by (domain, depth, url).
 
         Tables sort via pyarrow's C sort and decode column-wise — no
@@ -321,11 +302,9 @@ class ShardState:
         100k-row epochs was dominated by to_pylist + sorting dicts). UTF-8
         byte order ≡ Python code-point order, and (domain, depth, url) is a
         total order within an epoch (a job fetches a URL at most once), so
-        the result is identical to the dict path the inline epochs use."""
+        the result is identical to the dict path the simulator uses."""
         rows = self._absorbed
         self._absorbed = []
-        if epoch is not None:
-            rows = rows + self._absorbed_by_epoch.pop(epoch, [])
         tables = self._absorbed_tables
         self._absorbed_tables = []
         if rows or not tables:
@@ -354,9 +333,9 @@ class ShardState:
         DomainLinks and job metric rows."""
         cfg = self.cfg
         domains, depths, urls, sched_cols, cd_cols, ck_cols, cs_cols = \
-            self._drain_absorbed_sorted(epoch)
+            self._drain_absorbed_sorted()
 
-        # columnar outgoing (cheap to ship through the driver-mediated exchange)
+        # columnar outgoing (the storage exchange writes it column-wise)
         outgoing: dict[int, dict] = {}
         sent_this_epoch: set[str] = set()
 

@@ -185,13 +185,16 @@ class TestAbsorbRetryIdempotent:
     def test_epoch_stage_retry_overwrites(self, tmp_path):
         """A Ray task retry re-executes EpochStage on the same batch; the
         deterministic (epoch, min-seq) file names must make the second
-        attempt overwrite, not duplicate (ADVICE r1 #3)."""
+        attempt overwrite its absorb files and its crawl-log part, not
+        duplicate them (ADVICE r1 #3)."""
         import os
         import pyarrow as pa
+        import pyarrow.parquet as pq
         from crusty_ray.pipelines.crawl import EpochStage
         cfg = small_cfg()
         absorb = str(tmp_path / "absorb")
-        stage = EpochStage(WEB_CFG, cfg, absorb)
+        log_dir = str(tmp_path / "log")
+        stage = EpochStage(WEB_CFG, cfg, absorb, log_dir)
         n = 12
         web_seeds = [f"http://site{i:05d}.com/" for i in range(n)]
         batch = pa.table({
@@ -218,7 +221,10 @@ class TestAbsorbRetryIdempotent:
         out2 = stage(batch)  # the "retry"
         files2 = snapshot()
         assert files1 == files2  # same names, same sizes — overwritten
-        assert out1.equals(out2)  # deterministic log projection
+        assert out1.equals(out2)  # deterministic (rows, bytes) summary
+        assert os.listdir(log_dir) == ["part-e3-s0.parquet"]
+        assert pq.read_table(os.path.join(log_dir, "part-e3-s0.parquet")
+                             ).num_rows == n
         # total absorbed rows across files == ONE attempt's rows
         import pyarrow.feather as pf
         total = sum(pf.read_table(os.path.join(absorb, rel)).num_rows

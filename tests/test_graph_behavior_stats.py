@@ -282,3 +282,31 @@ class TestDomainPagerank:
         pd.testing.assert_frame_equal(
             got.astype({"rank_q": "int64"}),
             want.astype({"rank_q": "int64"}))
+
+
+def test_edge_memo_does_not_grow_without_a_session(monkeypatch):
+    """Without a Ray job id the edge memo is neither read nor written: each
+    call rebuilds, and no placeholder-keyed entry is pinned per call."""
+    from crusty_ray.ops import graph
+
+    class _Stub:
+        def map_batches(self, *a, **kw):
+            return self
+
+        def materialize(self):
+            return object()
+
+    def no_session():
+        raise RuntimeError("no Ray session")
+
+    monkeypatch.setattr(ray, "get_runtime_context", no_session)
+    monkeypatch.setattr(graph, "read_table", lambda *a, **kw: _Stub())
+    monkeypatch.setattr(graph, "partitioned_group_apply",
+                        lambda *a, **kw: _Stub())
+    monkeypatch.setattr(graph, "distinct_rows", lambda *a, **kw: _Stub())
+    assert graph._edge_memo_key("cooc", "sf", 4) is None
+    before = len(graph._EDGE_MEMO)
+    first = graph.part_cooccurrence_edges("sf", num_partitions=4)
+    second = graph.part_cooccurrence_edges("sf", num_partitions=4)
+    assert first is not second  # rebuilt, not served from the memo
+    assert len(graph._EDGE_MEMO) == before

@@ -126,10 +126,56 @@ def test_streaming_overlaps_permits(ray_session, tmp_path):
     assert not log.duplicated(["domain", "url"]).any()
 
 
+def test_streaming_survives_concurrent_path_resolution_import(ray_session,
+                                                             tmp_path,
+                                                             monkeypatch):
+    """Ray Data's path resolution retries a lazy ``fsspec`` HTTP import on
+    every call and catches only ``ModuleNotFoundError``; without aiohttp,
+    concurrent permit threads racing on it see a plain ``ImportError``.
+    The patch makes any caller that overlaps another fail that way, so a
+    crawl whose permits resolve sink paths through Ray Data aborts, while
+    one that never calls it completes with BSP's URL set."""
+    import threading
+    import time
+
+    from ray.data.datasource import path_util
+    from crusty_ray.pipelines.streaming import make_engine
+
+    bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
+
+    orig = path_util._is_http_filesystem
+    lock = threading.Lock()
+    inside = {"n": 0}
+
+    def racy(fs):
+        with lock:
+            inside["n"] += 1
+            loser = inside["n"] > 1
+        try:
+            time.sleep(0.2)
+            if loser:
+                raise ImportError("cannot import name 'HTTPFileSystem' from "
+                                  "partially initialized module")
+            return orig(fs)
+        finally:
+            with lock:
+                inside["n"] -= 1
+
+    monkeypatch.setattr(path_util, "_is_http_filesystem", racy)
+    cfg = _cfg("streaming")
+    cfg.engine.streaming_window = 3
+    cfg.engine.min_epoch_rows_for_ray = 0  # every permit on Ray Data
+    eng = make_engine(cfg, WEB_CFG, str(tmp_path / "race")).run()
+    slog = eng.read_crawl_log().to_pandas()
+    blog = bsp.read_crawl_log().to_pandas()
+    assert (sorted(zip(slog["domain"], slog["url"]))
+            == sorted(zip(blog["domain"], blog["url"])))
+
+
 def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
                                                      monkeypatch):
-    """r4 VERDICT wrong #1: a permit's ``write_parquet`` failure inside the
-    daemon thread must NOT be swallowed. Transient case: the one idempotent
+    """r4 VERDICT wrong #1: a permit's Dataset failure inside the daemon
+    thread must NOT be swallowed. Transient case: the one idempotent
     replay succeeds and the final crawl is bit-identical to BSP — zero
     silently-missing log rows."""
     import ray as _ray
@@ -139,16 +185,16 @@ def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
 
     cfg = _cfg("streaming")
     cfg.engine.min_epoch_rows_for_ray = 0  # force Dataset permit pipelines
-    orig = _ray.data.Dataset.write_parquet
+    orig = _ray.data.Dataset.materialize
     state = {"failed": 0}
 
-    def flaky(self, path, *a, **kw):
-        if "crawl_log" in str(path) and state["failed"] < 1:
+    def flaky(self, *a, **kw):
+        if state["failed"] < 1:
             state["failed"] += 1
             raise OSError("injected transient sink failure")
-        return orig(self, path, *a, **kw)
+        return orig(self, *a, **kw)
 
-    monkeypatch.setattr(_ray.data.Dataset, "write_parquet", flaky)
+    monkeypatch.setattr(_ray.data.Dataset, "materialize", flaky)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "flaky")).run()
     assert state["failed"] == 1  # the injection actually fired
 
@@ -171,34 +217,46 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
 
     cfg = _cfg("streaming")
     cfg.engine.min_epoch_rows_for_ray = 0
-    orig = _ray.data.Dataset.write_parquet
 
-    def broken(self, path, *a, **kw):
-        if "crawl_log" in str(path):
-            raise OSError("injected persistent sink failure")
-        return orig(self, path, *a, **kw)
+    def broken(self, *a, **kw):
+        raise OSError("injected persistent sink failure")
 
-    monkeypatch.setattr(_ray.data.Dataset, "write_parquet", broken)
+    monkeypatch.setattr(_ray.data.Dataset, "materialize", broken)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "broken"))
     with pytest.raises(RuntimeError, match="replay also failed"):
         eng.run()
 
 
-def test_streaming_inline_failure_aborts(ray_session, tmp_path):
-    """Inline-path (direct-RPC absorb) failure is not replayable — the run
-    must abort loudly telling the operator to resume from checkpoint."""
-    import pytest
+def test_streaming_in_process_failure_replayed(ray_session, tmp_path,
+                                               monkeypatch):
+    """An in-process permit (the default min_epoch_rows_for_ray) that fails
+    after writing its files is replayed like a Dataset permit: the replayed
+    crawl equals BSP's (domain, url) set, with no duplicated rows."""
+    from crusty_ray.pipelines.crawl import EpochStage
     from crusty_ray.pipelines.streaming import make_engine
 
-    cfg = _cfg("streaming")  # default min_epoch_rows_for_ray → inline path
-    eng = make_engine(cfg, WEB_CFG, str(tmp_path / "inl"))
+    bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
-    def boom(*a, **kw):
-        raise OSError("injected inline failure")
+    orig = EpochStage.process
+    state = {"failed": 0}
 
-    eng.run_inline_tasks = boom
-    with pytest.raises(RuntimeError, match="not replayable"):
-        eng.run()
+    def fail_once_after_writing(self, batch):
+        out = orig(self, batch)
+        if self.epoch == 2 and state["failed"] < 1:
+            state["failed"] += 1
+            raise OSError("injected in-process stage failure")
+        return out
+
+    monkeypatch.setattr(EpochStage, "process", fail_once_after_writing)
+    eng = make_engine(_cfg("streaming"), WEB_CFG, str(tmp_path / "inl")).run()
+    assert state["failed"] == 1  # the injection actually fired
+
+    slog = eng.read_crawl_log().to_pandas()
+    blog = bsp.read_crawl_log().to_pandas()
+    assert not slog.duplicated(["domain", "url"]).any()
+    assert (sorted(zip(slog["domain"], slog["url"]))
+            == sorted(zip(blog["domain"], blog["url"])))
+    assert sorted(eng.finished_domains) == sorted(bsp.finished_domains)
 
 
 def test_streaming_periodic_checkpoint_hard_crash(ray_session, tmp_path):

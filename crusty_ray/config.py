@@ -102,7 +102,9 @@ class EngineConfig:
     seen_bloom_fpp: float = 0.001
     cuckoo_capacity: int = 1 << 20       # per-shard authoritative seen set
     min_epoch_rows_for_ray: int = 2048   # below this, run the EpochStage in-process on
-                                         # the driver — task launch overhead would dominate
+                                         # the driver; at or above, one Ray task per
+                                         # bundle of task blocks (launch overhead
+                                         # would dominate small epochs)
     gauge_interval_s: float = 1.0     # sub-epoch stage-gauge cadence (A5)
     scratch_dir: Optional[str] = None  # transient absorb/exchange file root.
                                       # None → under out_dir (CORRECT for

@@ -1,4 +1,4 @@
-"""The epochal BSP crawl engine — Ray Data composition of the crawl semantics.
+"""The epochal BSP crawl engine — Ray composition of the crawl semantics.
 
 Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
 (``workspace/main/src/crusty.rs:514-592``) with, per epoch:
@@ -7,12 +7,13 @@ Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
    fetch tasks as actor-local Arrow blocks (politeness + priority + budgets
    enforced inside the shard, SURVEY §3.4);
 2. one fused ``EpochStage`` (fetch → discover → route → log projection) over
-   those blocks. It writes each batch's absorb rows shard-grouped to scratch
+   those blocks. It writes each call's absorb rows shard-grouped to scratch
    storage and its crawl-log part to ``crawl_log/epoch=N``, both under
    retry-deterministic names. Below ``engine.min_epoch_rows_for_ray`` tasks
    the stage runs in-process on the driver (task-launch overhead would
-   dominate); at or above it, as ``from_arrow_refs → map_batches(EpochStage)
-   → materialize()``. Only where it runs differs;
+   dominate); at or above it, as one plain Ray task per bundle of
+   consecutive blocks (``flatten_shard_refs``), the blocks passed as ref
+   arguments. Only where it runs differs;
 3. the epoch barrier (``_barrier``, shared with streaming mode): every shard
    reads its absorb partition and runs ``end_epoch`` (deterministic
    expansion + finishes), writing its cross-shard enqueue messages and top-k
@@ -56,28 +57,13 @@ LOG_COLUMNS = [
     "n_links", "image_ids",
 ]
 
-_PA_POOLS_CAPPED = False
-
-
-def _cap_arrow_pools() -> None:
-    """One logical CPU per map task: stop pyarrow's process-wide thread pool
-    from silently using every host core inside Ray workers (skews scaling
-    measurements, oversubscribes shared nodes). Once per worker process —
-    module-global guard, NOT an instance attribute, because pickled stage
-    instances restore __dict__ without re-running __init__."""
-    global _PA_POOLS_CAPPED
-    if not _PA_POOLS_CAPPED:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        _PA_POOLS_CAPPED = True
-
 
 def task_block_rows(cfg: Config) -> int:
-    """Rows per task block (``take_ready_refs``), which is also the Ray
-    path's batch size: one EpochStage call per block writes one crawl-log
-    part per block, as many files as a per-task sink wrote. Half-block
-    batches doubled the log's files (links_deep: 42 vs 21) and slowed its
-    readers (the image stage: 3.2 vs 2.4 s on 4 vCPUs)."""
+    """Rows per task block (``take_ready_refs``), which also caps the rows
+    of one Ray task's bundle (``flatten_shard_refs``): one EpochStage call
+    per bundle writes one crawl-log part per bundle. Half-block calls
+    doubled the log's files (links_deep: 42 vs 21) and slowed its readers
+    (the image stage: 3.2 vs 2.4 s on 4 vCPUs)."""
     return max(256, cfg.engine.fetch_batch_size * 2)
 
 
@@ -106,9 +92,9 @@ class FrontierShardActor:
 
         The task table is built here, in parallel across the actors, not
         serially on the driver. The blocks are born in this shard's node's
-        object store, so on a multi-node cluster the Dataset built from them
-        (from_arrow_refs) schedules fetch tasks next to their input instead
-        of pulling every block from the head node — and the driver never
+        object store, so on a multi-node cluster the stage tasks that take
+        them as ref arguments schedule next to their input instead of
+        pulling every block from the head node — and the driver never
         materializes the O(epoch-tasks) table unless it runs the stage
         in-process. Rows carry ``local_seq``; the fused stage turns that
         into the global (epoch, seq) ordering via the per-shard offsets the
@@ -141,19 +127,9 @@ class FrontierShardActor:
         semantics: nodes only meet at the shard store, crusty.rs:550-560).
         The driver never touches the O(discovered-domains) message volume;
         it gets job metrics, gauges and the outgoing message count."""
-        g = self.state.shard // EpochStage.SHARDS_PER_GROUP
-        d = f"{absorb_dir}/group={g}"
-        if os.path.isdir(d):
-            import pyarrow.compute as pc
-            import pyarrow.feather as pf
-            parts = []
-            for name in sorted(os.listdir(d)):  # deterministic order
-                t = pf.read_table(f"{d}/{name}", memory_map=True)
-                sel = t.filter(pc.equal(t["shard"], self.state.shard))
-                if sel.num_rows:
-                    parts.append(sel)
-            if parts:
-                self.state.absorb_table(pa.concat_tables(parts))
+        t = self._read_group(absorb_dir, "shard")
+        if t is not None:
+            self.state.absorb_table(t)
         out = self.state.end_epoch(epoch)
         out["gauges"] = self.state.gauges(epoch)
         # A1 pre-agg (redis_operators.rs:93-100): count this shard's
@@ -190,26 +166,20 @@ class FrontierShardActor:
                 acc["domain"].append(dom)
                 acc["cnt"].append(cnt)
         for g, acc in by_group.items():
-            d = f"{exchange_dir}/topk/group={g}"
-            os.makedirs(d, exist_ok=True)
             t = pa.table({
                 "owner": pa.array(acc["owner"], pa.int32()),
                 "bucket": pa.array(acc["bucket"], pa.string()),
                 "domain": pa.array(acc["domain"], pa.string()),
                 "cnt": pa.array(acc["cnt"], pa.int64()),
             })
-            pq.write_table(t, f"{d}/from-{self.state.shard:05d}.parquet")
+            self._write_part(t, f"{exchange_dir}/topk/group={g}")
 
     def _read_topk_exchange(self, exchange_dir: str) -> dict:
         """This shard's owned-bucket counts, int-merged across source
         shards (exactly the central merge — integer addition commutes)."""
-        g = self.state.shard // EpochStage.SHARDS_PER_GROUP
-        d = f"{exchange_dir}/topk/group={g}"
-        if not os.path.isdir(d):
+        t = self._read_group(f"{exchange_dir}/topk", "owner")
+        if t is None:
             return {}
-        import pyarrow.dataset as pads
-        t = pads.dataset(d, format="parquet").to_table(
-            filter=pads.field("owner") == self.state.shard)
         merged: dict[str, dict[str, int]] = {}
         for bucket, dom, cnt in zip(t["bucket"].to_pylist(),
                                     t["domain"].to_pylist(),
@@ -220,7 +190,7 @@ class FrontierShardActor:
 
     def _write_exchange(self, outgoing: dict[int, dict],
                         exchange_dir: str) -> None:
-        """One parquet per (target-shard-group, source shard), deterministic
+        """One file per (target-shard-group, source shard), deterministic
         names so a replay overwrites instead of duplicating."""
         by_group: dict[int, dict] = {}
         for tgt, msgs in outgoing.items():
@@ -232,8 +202,6 @@ class FrontierShardActor:
             for k in ("domain", "addr_key", "disc_depth", "disc_epoch"):
                 acc[k].extend(msgs[k])
         for g, acc in by_group.items():
-            d = f"{exchange_dir}/group={g}"
-            os.makedirs(d, exist_ok=True)
             t = pa.table({
                 "tgt_shard": pa.array(acc["tgt_shard"], pa.int32()),
                 "domain": pa.array(acc["domain"], pa.string()),
@@ -241,24 +209,42 @@ class FrontierShardActor:
                 "disc_depth": pa.array(acc["disc_depth"], pa.int32()),
                 "disc_epoch": pa.array(acc["disc_epoch"], pa.int32()),
             })
-            pq.write_table(t, f"{d}/from-{self.state.shard:05d}.parquet")
+            self._write_part(t, f"{exchange_dir}/group={g}")
 
     def _read_exchange(self, exchange_dir: str) -> None:
         """Enqueue this shard's incoming messages from the exchange files."""
-        g = self.state.shard // EpochStage.SHARDS_PER_GROUP
-        d = f"{exchange_dir}/group={g}"
-        if not os.path.isdir(d):
-            return
-        import pyarrow.dataset as pads
-        t = pads.dataset(d, format="parquet").to_table(
-            filter=pads.field("tgt_shard") == self.state.shard)
-        if t.num_rows:
+        t = self._read_group(exchange_dir, "tgt_shard")
+        if t is not None:
             self.state.enqueue({
                 "domain": t["domain"].to_pylist(),
                 "addr_key": t["addr_key"].to_pylist(),
                 "disc_depth": t["disc_depth"].to_pylist(),
                 "disc_epoch": t["disc_epoch"].to_pylist(),
             })
+
+    def _write_part(self, t: pa.Table, d: str) -> None:
+        """This shard's part of one exchange group dir: Arrow IPC + lz4,
+        like the absorb files (written once, read once, deleted)."""
+        import pyarrow.feather as pf
+        os.makedirs(d, exist_ok=True)
+        pf.write_feather(t, f"{d}/from-{self.state.shard:05d}.arrow",
+                         compression="lz4")
+
+    def _read_group(self, root: str, column: str) -> pa.Table | None:
+        """This shard's rows (``column`` == shard) of its group dir's files
+        in sorted-name order (engine ≡ simulator relies on it), or None."""
+        import pyarrow.compute as pc
+        import pyarrow.feather as pf
+        d = f"{root}/group={self.state.shard // EpochStage.SHARDS_PER_GROUP}"
+        if not os.path.isdir(d):
+            return None
+        parts = []
+        for name in sorted(os.listdir(d)):
+            t = pf.read_table(f"{d}/{name}", memory_map=True)
+            sel = t.filter(pc.equal(t[column], self.state.shard))
+            if sel.num_rows:
+                parts.append(sel)
+        return pa.concat_tables(parts) if parts else None
 
     def deliver(self, epoch: int, exchange_dir: str,
                 next_epoch: int | None = None) -> tuple | None:
@@ -304,29 +290,6 @@ class FrontierShardActor:
         return self.state.cuckoo.to_bytes()
 
 
-@ray.remote(num_cpus=0)
-class StageMetricsActor:
-    """Sub-epoch pipeline telemetry sink (A5's 1 s cadence, crusty.rs:31-54).
-
-    Fetch tasks bump fire-and-forget per batch; a driver-side sampler thread
-    reads totals on a ~1 s cadence during the epoch, so the operator is not
-    blind inside long epochs (r1 gap #4: gauges were per-epoch only)."""
-
-    def __init__(self):
-        self.rows = 0
-        self.bytes = 0
-        self.batches = 0
-
-    def bump(self, rows: int, nbytes: int) -> None:
-        self.rows += rows
-        self.bytes += nbytes
-        self.batches += 1
-
-    def snapshot(self) -> dict:
-        return {"rows": self.rows, "bytes": self.bytes,
-                "batches": self.batches}
-
-
 class EpochStage:
     """Fused fetch → discover → route → log write in ONE stage — the only
     place an epoch's or a permit's tasks are executed.
@@ -348,17 +311,16 @@ class EpochStage:
     min seq): a rerun of the batch overwrites its own files.
 
     The engine calls ``process`` when it runs the stage in-process on the
-    driver; Ray Data map tasks call the instance, which first caps the
-    worker's pyarrow pools."""
+    driver; its Ray tasks (``_run_bundle``) call the instance, which caps
+    the worker's pyarrow pools for the call."""
 
     def __init__(self, web_cfg: WebConfig, cfg: Config, absorb_dir: str,
-                 log_dir: str, rules=None, metrics=None,
-                 epoch: int | None = None, seq_offsets=None):
+                 log_dir: str, rules=None, epoch: int | None = None,
+                 seq_offsets=None):
         self.fetch = FetchStage(web_cfg, cfg, rules=rules)
         self.discover = DiscoverStage(web_cfg, cfg, rules=rules)
         self.absorb_dir = absorb_dir
         self.log_dir = log_dir
-        self.metrics = metrics  # StageMetricsActor handle (optional)
         # ref-fed path (take_ready_refs): blocks carry local_seq; this stage
         # derives the global ordering columns from the per-shard offsets
         self.epoch = epoch
@@ -374,10 +336,18 @@ class EpochStage:
                       "cand_domains", "cand_addr_keys", "cand_shards"]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        _cap_arrow_pools()  # in the WORKER process — __init__ runs on the
-        # driver and unpickling skips it, so a cap there never reaches the
-        # map tasks (and would throttle the driver instead)
-        return self.process(batch)
+        """One stage task holds one logical CPU: cap pyarrow's process-wide
+        pools (they would silently use every host core, skewing scaling
+        measurements and oversubscribing shared nodes) for this call only,
+        so later tasks on the same worker keep the default pools."""
+        cpu, io = pa.cpu_count(), pa.io_thread_count()
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
+        try:
+            return self.process(batch)
+        finally:
+            pa.set_cpu_count(cpu)
+            pa.set_io_thread_count(io)
 
     def process(self, batch: pa.Table) -> pa.Table:
         """Run one batch; returns its one-row (rows, bytes) summary."""
@@ -421,29 +391,40 @@ class EpochStage:
         os.makedirs(self.log_dir, exist_ok=True)
         pq.write_table(log_projection(out),
                        f"{self.log_dir}/part-{blob}.parquet")
-        if self.metrics is not None:
-            # fire-and-forget telemetry (one tiny RPC per batch)
-            self.metrics.bump.remote(out.num_rows, nbytes)
         return summary
 
 
-def flatten_shard_refs(shard_refs: list[list], shard_min: int,
-                       n_shards: int):
-    """(off_arr, flat_refs): per-shard global-seq offsets plus the
-    non-empty block refs in shard-asc order — ONE implementation shared by
-    the BSP loop and the streaming launcher so the seq rule can never
-    diverge between modes."""
+@ray.remote
+def _run_bundle(stage: EpochStage, *blocks: pa.Table) -> pa.Table:
+    """One stage task over one bundle of task blocks (ref arguments, so the
+    scheduler places the task near its input)."""
+    return stage(pa.concat_tables(blocks))
+
+
+def flatten_shard_refs(shard_refs: list[list], cfg: Config):
+    """(off_arr, bundles): per-shard global-seq offsets of the scoped
+    shards' blocks, plus the non-empty block refs in shard-asc order,
+    grouped greedily into bundles of consecutive blocks holding at most
+    ``task_block_rows`` rows (a block is never split) — ONE implementation
+    shared by the BSP loop and the streaming launcher so the seq rule can
+    never diverge between modes."""
     import numpy as np
-    off_arr = np.zeros(n_shards, dtype=np.int64)
+    off_arr = np.zeros(cfg.jobs.shard_total, dtype=np.int64)
+    max_rows = task_block_rows(cfg)
     acc = 0
-    flat: list = []
+    bundles: list[list] = []
+    rows = max_rows  # the first block opens a bundle
     for i, refs in enumerate(shard_refs):
-        off_arr[shard_min + i] = acc
+        off_arr[cfg.jobs.shard_min + i] = acc
         for r, n in refs:
             if n > 0:
-                flat.append(r)
+                if rows + n > max_rows:
+                    bundles.append([])
+                    rows = 0
+                bundles[-1].append(r)
+                rows += n
             acc += n
-    return off_arr, flat
+    return off_arr, bundles
 
 
 def log_projection(batch: pa.Table) -> pa.Table:
@@ -485,7 +466,6 @@ class CrawlEngine:
                 scheduling_strategy="SPREAD").remote(s, cfg, web_cfg)
             for s in range(cfg.jobs.shard_total)
         ]
-        self.metrics_actor = StageMetricsActor.remote()
         # run telemetry streams to per-epoch parquet partitions via bounded
         # buffers (reference: ClickHouse buffered writers,
         # clickhouse_utils.rs:37-121) — the driver holds NO run-length lists
@@ -661,8 +641,7 @@ class CrawlEngine:
                     break
             # deterministic task order: shard asc, per-shard emission order
             # (ref order = shard order, local_seq order within a shard)
-            off_arr, flat_refs = flatten_shard_refs(
-                shard_refs, cfg.jobs.shard_min, len(self.actors))
+            off_arr, bundles = flatten_shard_refs(shard_refs, cfg)
             t1 = time.time()
             # prefetch epoch N+1's dequeue inside the delivery RPC — except
             # past the horizon (the sim never calls take_ready(max_epochs)),
@@ -670,7 +649,7 @@ class CrawlEngine:
             # state or resume would double-dequeue), and while draining
             is_ckpt = (epoch + 1) % cfg.engine.checkpoint_every_epochs == 0
             prefetched = self._run_epoch(
-                epoch, flat_refs, n_tasks, off_arr,
+                epoch, bundles, n_tasks, off_arr,
                 next_epoch=None if (is_ckpt or self._stop_requested
                                     or epoch + 1 >= max_epochs)
                 else epoch + 1)
@@ -692,16 +671,11 @@ class CrawlEngine:
                           file=_sys.stderr, flush=True)
                 break
 
-    def _run_epoch(self, epoch: int, refs: list, n_tasks: int,
+    def _run_epoch(self, epoch: int, bundles: list, n_tasks: int,
                    off_arr, next_epoch: int | None = None) -> tuple | None:
         t0 = time.time()
         self._clear_epoch(epoch)
-        # n_tasks may be 0 with non-idle shards (delay_epochs>1 / timeout
-        # jitter parks every domain): no stage, no log partition — the
-        # simulator writes no rows for such an epoch either — but the
-        # barrier must still run so delay state advances
-        if n_tasks:
-            self._run_stage(epoch, refs, n_tasks, off_arr, t0, sample=True)
+        self._run_stage(epoch, bundles, n_tasks, off_arr, t0)
         return self._barrier(epoch, n_tasks, next_epoch)[2]
 
     def _epoch_dirs(self, epoch: int) -> tuple[str, str, str]:
@@ -718,77 +692,65 @@ class CrawlEngine:
         for d in self._epoch_dirs(epoch):
             shutil.rmtree(d, ignore_errors=True)
 
-    def _run_stage(self, epoch: int, refs: list, n_tasks: int, off_arr,
-                   t0: float, sample: bool = False) -> None:
-        """Run one epoch's (or permit's) EpochStage over its task blocks.
+    def _start_stage(self, epoch: int, bundles: list, n_tasks: int,
+                     off_arr, t0: float) -> list:
+        """Start one epoch's (or permit's) EpochStage over its task bundles;
+        returns the refs of its Ray tasks, ``[]`` if it already ran.
 
-        Below ``min_epoch_rows_for_ray`` tasks the stage runs in-process on
-        the driver over the concatenated blocks (block order = shard asc +
+        Zero tasks (delay_epochs>1 / timeout jitter can park every domain)
+        run no stage and write no log partition, as in the simulator. Below
+        ``min_epoch_rows_for_ray`` tasks the stage runs now, in-process on
+        the driver, over the concatenated blocks (block order = shard asc +
         local_seq asc, so the offsets yield a plain arange of seq) and
-        spools one stage-gauge row timed from ``t0``. Otherwise it runs as a
-        Ray Data map over the actor-local blocks; there ``sample`` adds the
-        sub-epoch gauge sampler on the shared metrics actor — BSP only, as
-        overlapping streaming permits would mix its totals."""
+        spools one stage-gauge row timed from ``t0``. Otherwise it is one
+        Ray task per bundle, each returning its stage summary; the blocks go
+        as ref arguments, so they never pass through the driver."""
         cfg = self.cfg
+        if not n_tasks:
+            return []
         in_process = n_tasks < cfg.engine.min_epoch_rows_for_ray
-        sample = sample and not in_process
         log_dir, absorb_dir, _ = self._epoch_dirs(epoch)
         stage = EpochStage(self.web_cfg, cfg, absorb_dir, log_dir,
-                           rules=self.rules,
-                           metrics=self.metrics_actor if sample else None,
-                           epoch=epoch, seq_offsets=off_arr)
+                           rules=self.rules, epoch=epoch, seq_offsets=off_arr)
         if in_process:
             # process(), not stage(): the pool cap is for Ray workers only
-            summary = stage.process(pa.concat_tables(ray.get(refs)))
+            summary = stage.process(pa.concat_tables(
+                ray.get([r for b in bundles for r in b])))
             self.spool.add("stage_gauges", [{
                 "epoch": epoch, "t_s": round(time.time() - t0, 3),
                 "rows": summary["rows"][0].as_py(),
                 "bytes": summary["bytes"][0].as_py(), "batches": 1}])
-            return
-        # Dataset straight from the actor-local block refs: blocks are
-        # already ≥256-row chunks (take_ready_refs), they never pass through
-        # the driver, and on a multi-node cluster the map tasks schedule
-        # next to their input block's node. No repartition: the r1 coarse
-        # repartition before the sink was an all-to-all that serialized the
-        # epoch behind 3 tasks (measured 13.8k → 19.9k pages/s at 32 cores
-        # from removing it). The stage writes its own files, so the terminal
-        # call only has to run every batch.
-        ds = ray.data.from_arrow_refs(refs).map_batches(
-            stage, batch_format="pyarrow",
-            batch_size=task_block_rows(cfg))
-        if not sample:
-            ds.materialize()
-            return
-        # sub-epoch sampler (A5 1 s cadence): reads the metrics actor's
-        # totals while the pipeline streams, so long epochs are visible
-        import threading
-        stop_evt = threading.Event()
-        base = ray.get(self.metrics_actor.snapshot.remote())
+            return []
+        stage_ref = ray.put(stage)
+        return [_run_bundle.remote(stage_ref, *b) for b in bundles]
 
-        def _sample():
-            t_start = time.time()
-            while True:
-                finished = stop_evt.wait(cfg.engine.gauge_interval_s)
-                snap = ray.get(self.metrics_actor.snapshot.remote())
-                # buffer append only (GIL-atomic); flushes happen on the
-                # driver thread between epochs, never concurrently
-                self.spool.add("stage_gauges", [{
-                    "epoch": epoch,
-                    "t_s": round(time.time() - t_start, 3),
-                    "rows": snap["rows"] - base["rows"],
-                    "bytes": snap["bytes"] - base["bytes"],
-                    "batches": snap["batches"] - base["batches"]}])
-                if finished:
-                    return
-
-        sampler = threading.Thread(target=_sample, daemon=True)
-        sampler.start()
+    def _run_stage(self, epoch: int, bundles: list, n_tasks: int, off_arr,
+                   t0: float) -> None:
+        """BSP: run one epoch's stage to completion. Every
+        ``gauge_interval_s`` while its tasks run (A5's 1 s cadence,
+        crusty.rs:31-54), the summaries of the tasks finished so far go to
+        the stage gauges, so the operator is not blind inside long epochs."""
+        refs = self._start_stage(epoch, bundles, n_tasks, off_arr, t0)
+        if not refs:
+            return
         t_w = time.time()
+        rows = nbytes = 0
+        pending = refs
         try:
-            ds.materialize()
+            while pending:
+                ready, pending = ray.wait(
+                    pending, num_returns=len(pending),
+                    timeout=self.cfg.engine.gauge_interval_s)
+                for summary in ray.get(ready):
+                    rows += summary["rows"][0].as_py()
+                    nbytes += summary["bytes"][0].as_py()
+                self.spool.add("stage_gauges", [{
+                    "epoch": epoch, "t_s": round(time.time() - t_w, 3),
+                    "rows": rows, "bytes": nbytes,
+                    "batches": len(refs) - len(pending)}])
         finally:
-            stop_evt.set()
-            sampler.join()
+            if pending:  # a task failed: let its siblings finish writing
+                ray.wait(pending, num_returns=len(pending))
         self.spool.add("db_metrics", [{
             "epoch": epoch, "op": "pipeline_and_log_write", "rows": n_tasks,
             "ms": round((time.time() - t_w) * 1000, 1)}])

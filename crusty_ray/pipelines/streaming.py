@@ -9,10 +9,11 @@ the determinism back:
 
 - each **permit** dequeues every scoped shard immediately — *without*
   waiting for earlier permits' results to be absorbed;
-- a permit runs the same ``EpochStage`` a BSP epoch runs, in-process or on
-  Ray Data by the same ``min_epoch_rows_for_ray`` rule, in a background
-  thread; up to ``engine.streaming_window`` permits are in flight at once
-  (the bounded-channel analog — the window is the backpressure);
+- a permit runs the same ``EpochStage`` a BSP epoch runs: its Ray tasks
+  are submitted at launch, or, below ``min_epoch_rows_for_ray`` tasks, the
+  stage runs in-process on the driver thread at the permit's turn; up to
+  ``engine.streaming_window`` permits are in flight at once (the
+  bounded-channel analog — the window is the backpressure);
 - permit *completions* run the BSP epoch barrier (absorb read + end_epoch +
   storage exchange + delivery) strictly in permit order from the driver
   thread, so shard-state mutation stays sequential per shard while fetch
@@ -20,9 +21,10 @@ the determinism back:
   directories, so overlapping permits never see each other's rows.
 
 A failed permit is replayed once at its turn, whichever way its stage ran:
-the stage's file names are retry-deterministic and the permit's directories
-are cleared first (the relabuf analog: a failed batch goes back and is
-retried, redis_utils.rs:61-116). A second failure aborts before any of the
+the stage's file names are retry-deterministic, every task of the failed
+attempt has finished, and the permit's directories are cleared first (the
+relabuf analog: a failed batch goes back and is retried,
+redis_utils.rs:61-116). A second failure aborts before any of the
 permit's state is applied.
 
 Politeness still holds: ``take_ready`` marks domains in-flight inside the
@@ -41,7 +43,6 @@ crawlers, including the reference.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Optional
@@ -70,12 +71,12 @@ class StreamingCrawlEngine(CrawlEngine):
         try:
             self._stream_loop(max_permits)
         finally:
-            # an exception mid-stream must not leave orphan permit threads
-            # writing crawl_log/absorb files behind our back (a subsequent
-            # resume() would race their late writes); join without applying
+            # an exception mid-stream must not leave permit tasks writing
+            # crawl_log/absorb files behind our back (a subsequent resume()
+            # would race their late writes); wait them out without applying
             for entry in self._window:
-                if entry["thread"] is not None:
-                    entry["thread"].join()
+                if entry["refs"]:
+                    ray.wait(entry["refs"], num_returns=len(entry["refs"]))
             if prev_handlers is not None:
                 import signal as _signal
                 for sig, h in prev_handlers.items():
@@ -89,7 +90,7 @@ class StreamingCrawlEngine(CrawlEngine):
         if self.start_epoch == 0:
             self._seed()
         scoped = self.actors[cfg.jobs.shard_min:cfg.jobs.shard_max]
-        window = self._window  # shared with run()'s finally for orphan joins
+        window = self._window  # shared with run()'s finally
         for permit in range(self.start_epoch, max_permits):
             # honor a drain request only after ≥1 permit completed (BSP
             # parity: a signal during startup must still leave a resumable
@@ -98,7 +99,7 @@ class StreamingCrawlEngine(CrawlEngine):
                 break
             # backpressure: bounded in-flight permits
             while len(window) >= cfg.engine.streaming_window:
-                self._complete(window.popleft())
+                self._complete()
             t_permit = time.time()
             shard_refs = ray.get([a.take_ready_refs.remote(permit)
                                   for a in scoped])
@@ -106,12 +107,13 @@ class StreamingCrawlEngine(CrawlEngine):
             self.epochs_run = permit + 1
             if n_tasks == 0:
                 if window:
-                    self._complete(window.popleft())  # let results land
+                    self._complete()  # let results land
                     continue
                 if all(ray.get([a.idle.remote() for a in scoped])):
                     break
                 # buffered enqueues/delay gating: settle one round
-                self._complete(self._launch(permit, shard_refs, 0, t_permit))
+                window.append(self._launch(permit, shard_refs, 0, t_permit))
+                self._complete()
                 continue
             window.append(self._launch(permit, shard_refs, n_tasks, t_permit))
             # periodic mid-stream checkpoint (r2 VERDICT missing #3): every K
@@ -122,10 +124,10 @@ class StreamingCrawlEngine(CrawlEngine):
             every = cfg.engine.streaming_checkpoint_every_permits
             if every > 0 and (permit + 1) % every == 0:
                 while window:
-                    self._complete(window.popleft())
+                    self._complete()
                 self._write_checkpoint(permit)
         while window:
-            self._complete(window.popleft())
+            self._complete()
         if self.epochs_run:
             # one quiesced checkpoint at the end (drain point) — periodic
             # exact-resume checkpointing is the BSP mode's contract
@@ -134,69 +136,68 @@ class StreamingCrawlEngine(CrawlEngine):
     # ------------------------------------------------------ permit pipeline
     def _launch(self, permit: int, shard_refs: list[list], n_tasks: int,
                 t_permit: float) -> dict:
-        """Clear the permit's directories, then start its EpochStage in a
-        thread (none for a zero-task settle permit); the barrier happens
-        later, in order, in _complete(). Task blocks stay as actor-local
-        refs (locality on multi-node — see crawl.py take_ready_refs)."""
+        """Clear the permit's directories and submit its stage tasks; the
+        barrier happens later, in order, in _complete(). An in-process
+        permit (or a zero-task settle permit) submits nothing here. Task
+        blocks stay as actor-local refs (locality on multi-node — see
+        crawl.py take_ready_refs)."""
         self._clear_epoch(permit)
-        off_arr, flat_refs = flatten_shard_refs(
-            shard_refs, self.cfg.jobs.shard_min, len(self.actors))
+        off_arr, bundles = flatten_shard_refs(shard_refs, self.cfg)
 
-        def run():
-            # the closure pins flat_refs until completion, so a replay
+        def start():
+            # the closure pins the bundles until completion, so a replay
             # still has its task blocks
-            self._run_stage(permit, flat_refs, n_tasks, off_arr, t_permit)
+            return self._start_stage(permit, bundles, n_tasks, off_arr,
+                                     t_permit)
 
-        entry = {"permit": permit, "n_tasks": n_tasks, "t_permit": t_permit,
-                 "run": run, "thread": None}
-        if n_tasks:
-            entry["thread"] = threading.Thread(
-                target=self._captured(run, entry), daemon=True)
-            entry["thread"].start()
-        return entry
+        in_process = n_tasks < self.cfg.engine.min_epoch_rows_for_ray
+        return {"permit": permit, "n_tasks": n_tasks, "t_permit": t_permit,
+                "start": start, "refs": None if in_process else start()}
 
-    @staticmethod
-    def _captured(fn, entry: dict):
-        """Wrap a permit thread target so failures land on the entry instead
-        of dying silently in the daemon thread (r4 VERDICT wrong #1 — a
-        stage failure must surface at the barrier, never apply the permit as
-        if its log rows were written)."""
-        def run():
-            try:
-                fn()
-            except BaseException as e:  # noqa: BLE001 — must not lose any failure class
-                entry["error"] = e
-        return run
+    def _await_stage(self, entry: dict) -> None:
+        """Wait until EVERY task of the permit's stage has finished, then
+        raise the first failure, so no sibling task still writes files a
+        replay clears. A permit that submitted none runs its stage now, on
+        the driver thread."""
+        if entry["refs"] is None:
+            entry["refs"] = entry["start"]()
+        if entry["refs"]:
+            ray.wait(entry["refs"], num_returns=len(entry["refs"]))
+        ray.get(entry["refs"])
 
     # --------------------------------------------------------- completion
-    def _complete(self, entry: dict) -> None:
-        """Apply one permit's results — strictly in permit order (caller
-        guarantees FIFO), so shard state advances sequentially even though
-        fetch compute overlapped."""
+    def _complete(self) -> None:
+        """Apply the oldest in-flight permit's results and drop it from the
+        window — strictly in permit order, so shard state advances
+        sequentially even though fetch compute overlapped. The permit stays
+        in the window until it is applied, so run()'s finally also waits
+        out a replay's tasks."""
+        entry = self._window[0]
         permit = entry["permit"]
         t_join0 = time.time()
-        if entry["thread"] is not None:
-            entry["thread"].join()
-        join_wait = time.time() - t_join0  # pipeline still running when
-        # its turn came = genuine compute overlap, NOT serialized barrier
-        # work (r4 VERDICT next #5: the p50 permit-to-apply latency is
-        # dominated by this wait under a full window)
-        if entry.get("error") is not None:
+        try:
+            self._await_stage(entry)
+        except Exception as first_err:
             # replay once, synchronously: clearing the permit's directories
             # drops the failed attempt's partial files, and the stage's
             # retry-deterministic names make the replay write exactly one
             # attempt's rows. A second failure aborts BEFORE any shard state
             # for this permit is applied, so crawl-log rows can never go
             # silently missing (r4 VERDICT wrong #1).
-            first_err = entry["error"]
             try:
                 self._clear_epoch(permit)
-                entry["run"]()
-            except BaseException as e:  # noqa: BLE001
+                entry["refs"] = None
+                self._await_stage(entry)
+            except Exception as e:
                 raise RuntimeError(
                     f"streaming permit {permit}: pipeline failed and the "
                     f"one idempotent replay also failed "
                     f"(first error: {first_err!r})") from e
+        join_wait = time.time() - t_join0  # stage tasks still running when
+        # its turn came = genuine compute overlap, NOT serialized barrier
+        # work (r4 VERDICT next #5: the p50 permit-to-apply latency is
+        # dominated by this wait under a full window); an in-process permit
+        # runs its whole stage inside this wait
         # per-permit completion-stream stats: `seconds` is the wall gap
         # since the previous completion, so summing tasks/seconds over big
         # permits gives the same steady-state throughput measure the BSP
@@ -217,6 +218,7 @@ class StreamingCrawlEngine(CrawlEngine):
                 {"permit": permit, "join_wait_s": round(join_wait, 3),
                  "absorb_apply_s": round(absorb_apply, 3),
                  "deliver_s": round(deliver, 3)})
+        self._window.popleft()
 
     def permit_latency_percentiles(self) -> dict:
         """p50/p95 of permit-to-apply latency (task-carrying permits), plus

@@ -181,6 +181,37 @@ def test_parallel_seed_resolution_equals_serial(ray_session, tmp_path):
     assert eng._resolve_seeds() == seed_messages(seeds, cfg, SyntheticWeb(wc))
 
 
+def test_flatten_shard_refs_bundles():
+    """The stage-task bundle rule: consecutive non-empty blocks in
+    shard-asc order, each block in exactly one bundle, no bundle over the
+    row cap, and the per-shard seq offsets unchanged by bundling."""
+    from crusty_ray.pipelines.crawl import flatten_shard_refs, task_block_rows
+    cfg = small_cfg(**{"jobs.shard_total": 8, "jobs.shard_min": 2,
+                       "jobs.shard_max": 7})
+    cap = task_block_rows(cfg)
+    # (ref, rows) blocks of 4 scoped shards starting at shard 2; a shard's
+    # blocks are full-size except its last, as take_ready_refs emits them
+    shard_refs = [
+        [("a0", cap), ("a1", cap // 3)],
+        [],
+        [("c0", 0)],
+        [("d0", cap // 2), ("d1", 1)],
+        [("e0", cap), ("e1", cap), ("e2", cap // 2 + 1)],
+    ]
+    off, bundles = flatten_shard_refs(shard_refs, cfg)
+    rows = {r: n for refs in shard_refs for r, n in refs}
+    flat = [r for b in bundles for r in b]
+    assert flat == [r for refs in shard_refs for r, n in refs if n > 0]
+    assert all(b and sum(rows[r] for r in b) <= cap for b in bundles)
+    assert bundles == [["a0"], ["a1", "d0", "d1"], ["e0"], ["e1"], ["e2"]]
+    assert list(off) == [0, 0, 0, cap + cap // 3, cap + cap // 3,
+                         cap + cap // 3, cap + cap // 3 + cap // 2 + 1, 0]
+    # a permit under one block's size is one bundle
+    _, small = flatten_shard_refs([[("x", 3)], [("y", 5)], [("z", 7)]], cfg)
+    assert small == [["x", "y", "z"]]
+    assert flatten_shard_refs([[], []], cfg)[1] == []
+
+
 class TestAbsorbRetryIdempotent:
     def test_epoch_stage_retry_overwrites(self, tmp_path):
         """A Ray task retry re-executes EpochStage on the same batch; the

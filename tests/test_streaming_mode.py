@@ -6,6 +6,8 @@ correctness contract (see pipelines/streaming.py docstring). Epoch/seq/depth
 assignments may legitimately differ (free-running absorb order).
 """
 
+import os
+
 import pandas as pd
 
 from crusty_ray.config import test_config as _tc
@@ -118,12 +120,22 @@ def test_streaming_overlaps_permits(ray_session, tmp_path):
 
     cfg = _cfg("streaming")
     cfg.engine.streaming_window = 2
-    cfg.engine.min_epoch_rows_for_ray = 0  # force Dataset pipelines
+    cfg.engine.min_epoch_rows_for_ray = 0  # force stage tasks
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "s2")).run()
     assert eng.epochs_run > 2
     log = eng.read_crawl_log().to_pandas()
     assert len(log) > 100
     assert not log.duplicated(["domain", "url"]).any()
+    # every permit here is under one task block, so it is one bundle: one
+    # stage task, one crawl-log file
+    from crusty_ray.pipelines.crawl import task_block_rows
+    assert max(n for _p, n, _s in eng.permit_latencies) <= task_block_rows(cfg)
+    carrying = sorted(p for p, _n, _s in eng.permit_latencies)
+    log_root = tmp_path / "s2" / "crawl_log"
+    files = {int(d.name.split("=")[1]): os.listdir(d)
+             for d in log_root.iterdir() if d.name.startswith("epoch=")}
+    assert sorted(files) == carrying
+    assert all(len(f) == 1 for f in files.values())
 
 
 def test_streaming_survives_concurrent_path_resolution_import(ray_session,
@@ -131,7 +143,7 @@ def test_streaming_survives_concurrent_path_resolution_import(ray_session,
                                                              monkeypatch):
     """Ray Data's path resolution retries a lazy ``fsspec`` HTTP import on
     every call and catches only ``ModuleNotFoundError``; without aiohttp,
-    concurrent permit threads racing on it see a plain ``ImportError``.
+    concurrent callers racing on it see a plain ``ImportError``.
     The patch makes any caller that overlaps another fail that way, so a
     crawl whose permits resolve sink paths through Ray Data aborts, while
     one that never calls it completes with BSP's URL set."""
@@ -164,7 +176,7 @@ def test_streaming_survives_concurrent_path_resolution_import(ray_session,
     monkeypatch.setattr(path_util, "_is_http_filesystem", racy)
     cfg = _cfg("streaming")
     cfg.engine.streaming_window = 3
-    cfg.engine.min_epoch_rows_for_ray = 0  # every permit on Ray Data
+    cfg.engine.min_epoch_rows_for_ray = 0  # every permit as stage tasks
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "race")).run()
     slog = eng.read_crawl_log().to_pandas()
     blog = bsp.read_crawl_log().to_pandas()
@@ -174,27 +186,26 @@ def test_streaming_survives_concurrent_path_resolution_import(ray_session,
 
 def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
                                                      monkeypatch):
-    """r4 VERDICT wrong #1: a permit's Dataset failure inside the daemon
-    thread must NOT be swallowed. Transient case: the one idempotent
-    replay succeeds and the final crawl is bit-identical to BSP — zero
-    silently-missing log rows."""
-    import ray as _ray
-    from crusty_ray.pipelines.streaming import make_engine
+    """r4 VERDICT wrong #1: a permit's stage failure must NOT be swallowed.
+    Transient case: the driver-side wait fails once after the permit's
+    tasks wrote their files; the one idempotent replay succeeds and the
+    final crawl is bit-identical to BSP — zero silently-missing log rows."""
+    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
 
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
     cfg = _cfg("streaming")
-    cfg.engine.min_epoch_rows_for_ray = 0  # force Dataset permit pipelines
-    orig = _ray.data.Dataset.materialize
+    cfg.engine.min_epoch_rows_for_ray = 0  # force stage-task permits
+    orig = StreamingCrawlEngine._await_stage
     state = {"failed": 0}
 
-    def flaky(self, *a, **kw):
-        if state["failed"] < 1:
+    def flaky(self, entry):
+        orig(self, entry)
+        if entry["n_tasks"] and state["failed"] < 1:
             state["failed"] += 1
             raise OSError("injected transient sink failure")
-        return orig(self, *a, **kw)
 
-    monkeypatch.setattr(_ray.data.Dataset, "materialize", flaky)
+    monkeypatch.setattr(StreamingCrawlEngine, "_await_stage", flaky)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "flaky")).run()
     assert state["failed"] == 1  # the injection actually fired
 
@@ -212,19 +223,123 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
     the run must abort LOUDLY at the permit barrier (never apply the permit
     as if its rows were written)."""
     import pytest
-    import ray as _ray
-    from crusty_ray.pipelines.streaming import make_engine
+    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
 
     cfg = _cfg("streaming")
     cfg.engine.min_epoch_rows_for_ray = 0
+    calls = {"n": 0}
 
-    def broken(self, *a, **kw):
+    def broken(self, entry):
+        calls["n"] += 1
         raise OSError("injected persistent sink failure")
 
-    monkeypatch.setattr(_ray.data.Dataset, "materialize", broken)
+    monkeypatch.setattr(StreamingCrawlEngine, "_await_stage", broken)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "broken"))
     with pytest.raises(RuntimeError, match="replay also failed"):
         eng.run()
+    assert calls["n"] == 2  # the injection fired on the attempt and replay
+
+
+def _bundle_task(body):
+    """A stand-in for ``crawl._run_bundle`` whose worker-side body is
+    ``body(stage, table)``; defined locally, so it ships by value."""
+    import pyarrow as pa
+    import ray
+
+    @ray.remote
+    def run_bundle(stage, *blocks):
+        return body(stage, pa.concat_tables(blocks))
+    return run_bundle
+
+
+def test_streaming_worker_task_failure_replayed(ray_session, tmp_path,
+                                                monkeypatch):
+    """A stage task raises inside its Ray worker once, after writing its
+    files: the permit is replayed and the crawl equals BSP's (domain, url)
+    set with no duplicated rows."""
+    from crusty_ray.pipelines import crawl
+    from crusty_ray.pipelines.streaming import make_engine
+
+    bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
+
+    flag = str(tmp_path / "failed-once")
+
+    def fail_once_after_writing(stage, table):
+        out = stage(table)
+        if stage.epoch == 2:
+            try:  # exactly one task, across worker processes, fails
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return out
+            raise OSError("injected worker-task failure")
+        return out
+
+    monkeypatch.setattr(crawl, "_run_bundle",
+                        _bundle_task(fail_once_after_writing))
+    cfg = _cfg("streaming")
+    cfg.engine.min_epoch_rows_for_ray = 0
+    eng = make_engine(cfg, WEB_CFG, str(tmp_path / "wk")).run()
+    assert os.path.exists(flag)  # the injection actually fired
+
+    slog = eng.read_crawl_log().to_pandas()
+    blog = bsp.read_crawl_log().to_pandas()
+    assert not slog.duplicated(["domain", "url"]).any()
+    assert (sorted(zip(slog["domain"], slog["url"]))
+            == sorted(zip(blog["domain"], blog["url"])))
+    assert sorted(eng.finished_domains) == sorted(bsp.finished_domains)
+
+
+def test_streaming_abort_leaves_no_task_writing(ray_session, tmp_path,
+                                                monkeypatch):
+    """Permit 2's stage fails persistently while later permits' slow tasks
+    are in flight: by the time run() raises, every started task has
+    finished, and no file under the output or scratch dirs changes
+    afterwards (a resume() could otherwise race late writes)."""
+    import time
+
+    import pytest
+    from crusty_ray.pipelines import crawl
+    from crusty_ray.pipelines.streaming import make_engine
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    marks = str(marks)
+
+    def fail_or_slow(stage, table):
+        import tempfile
+        if stage.epoch == 2:
+            raise OSError("injected persistent worker-task failure")
+        tempfile.mkstemp(prefix=f"start-{stage.epoch}-", dir=marks)
+        if stage.epoch > 2:
+            time.sleep(1.0)
+        out = stage(table)
+        tempfile.mkstemp(prefix=f"end-{stage.epoch}-", dir=marks)
+        return out
+
+    monkeypatch.setattr(crawl, "_run_bundle", _bundle_task(fail_or_slow))
+    cfg = _cfg("streaming")
+    cfg.engine.min_epoch_rows_for_ray = 0
+    cfg.engine.streaming_window = 3
+    out = tmp_path / "abort"
+    eng = make_engine(cfg, WEB_CFG, str(out))
+    with pytest.raises(RuntimeError, match="replay also failed"):
+        eng.run()
+
+    def files():
+        return {(p, st.st_size, st.st_mtime_ns)
+                for root in {str(out), eng.scratch}
+                for d, _, names in os.walk(root) for n in names
+                for p in [os.path.join(d, n)] for st in [os.stat(p)]}
+
+    names = os.listdir(marks)
+    started = [n for n in names if n.startswith("start-")]
+    # later permits' tasks were in flight when permit 2 failed ...
+    assert any(int(n.split("-")[1]) > 2 for n in started)
+    # ... and all of them had finished when run() raised
+    assert len(started) == sum(1 for n in names if n.startswith("end-"))
+    before = files()
+    time.sleep(1.5)
+    assert files() == before
 
 
 def test_streaming_in_process_failure_replayed(ray_session, tmp_path,

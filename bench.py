@@ -6,9 +6,10 @@ Prints ONE JSON line on stdout:
    "pages_fetched": N, "pages_per_sec": N, ...}
 
 Env: ``GRAFT_SF_DIR`` (default /root/testdata/sf0.1), ``RAY_GRAFT_CPUS``
-(default 32). ``--scaling`` reruns the headline crawl in two fresh processes
-(num_cpus=8 and 32) on the identical input and reports both throughputs plus
-scaling efficiency = (thr_32/thr_8)/4 (BASELINE.md protocol).
+(default: the CPUs this process may run on, ``os.sched_getaffinity``),
+``GRAFT_BENCH_TRIALS`` (headline crawl best-of-N, default 2),
+``GRAFT_BENCH_STREAMING=0`` (skip the streaming leg) and
+``GRAFT_BENCH_MODE=crawl`` (skip the operator queries).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,17 +27,11 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def bench_crawl(num_cpus: int, large: bool = False,
-                mode: str | None = None, with_images: bool = True,
+def bench_crawl(num_cpus: int, mode: str | None = None,
+                with_images: bool = True,
                 keep_images_dir: str | None = None) -> dict:
     """Headline: the epochal crawl + image decode over the bench-scale
-    synthetic web (identical input at every parallelism level).
-
-    ``large=True`` is the large-epoch scaling profile: ~3× the domains and
-    all of them seeded, so the big epochs carry 300k+ tasks and every
-    parallelism-independent per-epoch cost (take_ready, barrier python, log
-    bookkeeping — measured 0.1-0.5 s) is <1% of epoch wall time. This is the
-    regime the north rule's 10^10-URL target lives in."""
+    synthetic web (identical input at every parallelism level)."""
     import ray
     from crusty_ray.config import test_config
     from crusty_ray.datagen.webgraph import WebConfig
@@ -56,7 +50,6 @@ def bench_crawl(num_cpus: int, large: bool = False,
     cfg.rules.links_per_task_budget = 12
     cfg.rules.max_level = 7
     cfg.crawl.concurrency = 24      # bench profile: deep fetch rounds per epoch
-    cfg.engine.fetch_concurrency = max(2, num_cpus - 4)
     # 1024-row batches: EpochStage writes its absorb files per BATCH, so
     # batch count directly multiplies exchange-file count (256-row batches →
     # ~1800 absorb files/epoch; 1024 → ~450). Measured 12.8k → 15.2k
@@ -72,11 +65,7 @@ def bench_crawl(num_cpus: int, large: bool = False,
     cfg.engine.checkpoint_every_epochs = 10
     cfg.engine.min_epoch_rows_for_ray = 256
     cfg.engine.max_epochs = 6       # steady-state throughput, not the long tail
-    n_domains = 180_000 if large else 60_000
-    seed_step = 1 if large else 2
-    if large:
-        cfg.jobs.dequeue_limit = 30_000
-        cfg.engine.max_epochs = 4
+    n_domains = 60_000
     # realistic page weight: 15-40 links/page makes parse+resolve the dominant
     # cost (as on real HTML), not the BSP barrier
     web_cfg = WebConfig(n_domains=n_domains, max_pages_per_domain=40, hub_domains=8,
@@ -87,7 +76,7 @@ def bench_crawl(num_cpus: int, large: bool = False,
     try:
         from crusty_ray.datagen.webgraph import SyntheticWeb
         seeds = [f"http://{SyntheticWeb(web_cfg).domain_name(i)}/"
-                 for i in range(0, n_domains, seed_step)]
+                 for i in range(0, n_domains, 2)]
 
         # pre-warm the worker pool (process spawn + numpy/pandas imports are
         # paid once per worker; they belong to cluster start-up, not crawl
@@ -121,9 +110,7 @@ def bench_crawl(num_cpus: int, large: bool = False,
             images_sec = 0.0
         # steady-state throughput: the big epochs only (excludes the discovery
         # ramp/tail whose fixed per-epoch costs are parallelism-independent).
-        # "big" = within 3× of the largest epoch: epoch boundaries are
-        # deterministic and parallelism-independent, so both scaling levels
-        # select the identical epoch set.
+        # "big" = within 3× of the largest epoch; best-of-N picks by it.
         max_tasks = max((s["tasks"] for s in eng.epoch_stats), default=0)
         big = [s for s in eng.epoch_stats if s["tasks"] * 3 >= max_tasks
                and s["tasks"] >= 4096]
@@ -253,7 +240,6 @@ def run_full(sf_dir: str, num_cpus: int) -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    large = os.environ.get("GRAFT_BENCH_LARGE") not in (None, "", "0")
     # best-of-N crawl trials (default 2): this host's hypervisor noise is
     # bursty (BASELINE.md documents back-to-back identical runs spreading
     # 2-4x — e.g. 39.0 s vs 24.4 s same-minute); a single draw is a
@@ -264,11 +250,11 @@ def run_full(sf_dir: str, num_cpus: int) -> dict:
     trials = []
     ab_images_dir = None
     for t in range(n_trials):
-        _log(f"headline crawl trial {t + 1}/{n_trials} (num_cpus={num_cpus}"
-             f"{', large' if large else ''})...")
+        _log(f"headline crawl trial {t + 1}/{n_trials} "
+             f"(num_cpus={num_cpus})...")
         kept_images = (tempfile.mkdtemp(prefix="crusty_ab_") + "/images"
                        if t == 0 else None)
-        c = bench_crawl(num_cpus, large=large, keep_images_dir=kept_images)
+        c = bench_crawl(num_cpus, keep_images_dir=kept_images)
         if kept_images:
             ab_images_dir = kept_images
         _log(f"  crawl: {c['crawl_sec']}s, {c['pages_per_sec']} pages/s")
@@ -280,7 +266,7 @@ def run_full(sf_dir: str, num_cpus: int) -> dict:
     streaming = None
     if os.environ.get("GRAFT_BENCH_STREAMING", "1") not in ("", "0"):
         _log(f"streaming-mode crawl (num_cpus={num_cpus})...")
-        streaming = bench_crawl(num_cpus, large=large, mode="streaming",
+        streaming = bench_crawl(num_cpus, mode="streaming",
                                 with_images=False)
         _log(f"  streaming: {streaming['crawl_sec']}s, "
              f"steady {streaming['steady_pages_per_sec']} pages/s, "
@@ -349,300 +335,6 @@ def run_full(sf_dir: str, num_cpus: int) -> dict:
     }
 
 
-def run_scaling(large: bool = False) -> dict:
-    """Fresh processes, identical input, 8 vs 32 CPUs (BASELINE.md).
-
-    This host shows heavy, bursty hypervisor CPU steal (cumulative steal ≈ 3×
-    user in /proc/stat), so trials are interleaved (8,32,8,32) and each level
-    keeps its best steady-state throughput — best-of-N under one-sided noise
-    estimates the undisturbed value.
-
-    ``large=True`` (bench.py --scaling-large): the ≥300k-task-epoch profile
-    where per-epoch fixed costs are <1% of wall time — the scaling number
-    that corresponds to the north rule's production regime."""
-    results: dict[int, dict] = {}
-    for ncpu in (8, 32, 8, 32):
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_BENCH_MODE="crawl")
-        if large:
-            env["GRAFT_BENCH_LARGE"] = "1"
-        else:
-            env.pop("GRAFT_BENCH_LARGE", None)
-        _log(f"scaling run num_cpus={ncpu}...")
-        # taskset: ray.init(num_cpus=N) only caps TASK scheduling — actor
-        # processes and the raylet would still spread over every host core,
-        # silently inflating the small-"cluster" run. OS affinity is the
-        # honest small-cluster emulation (skipped if taskset is unavailable).
-        cmd = [sys.executable, os.path.abspath(__file__)]
-        if shutil.which("taskset"):
-            cmd = ["taskset", "-c", f"0-{ncpu - 1}"] + cmd
-        out = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)))
-        r = json.loads(out.stdout.strip().splitlines()[-1])
-        _log(f"  steady {r['steady_pages_per_sec']} pages/s")
-        if (ncpu not in results
-                or r["steady_pages_per_sec"] > results[ncpu]["steady_pages_per_sec"]):
-            results[ncpu] = r
-    thr8 = results[8]["steady_pages_per_sec"]
-    thr32 = results[32]["steady_pages_per_sec"]
-    return {
-        "metric": "scaling efficiency (steady-state pages/sec, 8 vs 32 cpus"
-                  + (", large epochs)" if large else ")"),
-        "value": round((thr32 / thr8) / 4.0, 3),
-        "unit": "efficiency",
-        "sec_8": results[8]["queries"]["crawl"],
-        "sec_32": results[32]["queries"]["crawl"],
-        "pages_per_sec_8": results[8]["pages_per_sec"],
-        "pages_per_sec_32": results[32]["pages_per_sec"],
-        "steady_pages_per_sec_8": thr8,
-        "steady_pages_per_sec_32": thr32,
-        "images_per_sec_8": results[8]["images_per_sec"],
-        "images_per_sec_32": results[32]["images_per_sec"],
-        "scaling_efficiency": round((thr32 / thr8) / 4.0, 3),
-    }
-
-
-def _raylet_pids() -> set:
-    """Live raylet pids via /proc (no psutil in this container)."""
-    pids = set()
-    for d in os.listdir("/proc"):
-        if d.isdigit():
-            try:
-                with open(f"/proc/{d}/comm") as f:
-                    if f.read().strip() == "raylet":
-                        pids.add(int(d))
-            except OSError:
-                pass
-    return pids
-
-
-def _pin_tree(pid: int, cpus: set) -> None:
-    """Pin a process and its CURRENT children to a core set; later children
-    (ray worker processes — forked by the raylet) inherit the affinity."""
-    try:
-        os.sched_setaffinity(pid, cpus)
-    except OSError:
-        return
-    try:
-        with open(f"/proc/{pid}/task/{pid}/children") as f:
-            kids = [int(x) for x in f.read().split()]
-    except OSError:
-        kids = []
-    for k in kids:
-        _pin_tree(k, cpus)
-
-
-def run_nodes_child(n_nodes: int, cpus_per_node: int | None = None) -> dict:
-    """One multi-raylet trial: a local cluster of ``n_nodes`` genuine Ray
-    nodes (each its own raylet + object store, so cross-node block transfer
-    and per-node plasma really happen), the crawl spread across them.
-
-    ``GRAFT_PIN_NODES=1`` (r4 VERDICT next #4, pinned variant): pin each
-    node's raylet — and therefore every worker it later forks — to its own
-    DISJOINT ``cpus_per_node``-core slice, emulating per-node CPU isolation
-    so the host scheduler cannot steal cores across "nodes" mid-epoch. The
-    driver + GCS ride node 0's slice (the head-node layout of a real
-    cluster)."""
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    os.environ.setdefault("ARROW_IO_THREADS", "2")
-    if cpus_per_node is None:
-        cpus_per_node = int(os.environ.get("GRAFT_NODE_CPUS", "8"))
-    import ray
-    from ray.cluster_utils import Cluster
-
-    pin = os.environ.get("GRAFT_PIN_NODES") not in (None, "", "0")
-    slices = [set(range(i * cpus_per_node, (i + 1) * cpus_per_node))
-              for i in range(n_nodes)]
-    seen_raylets = _raylet_pids() if pin else set()
-
-    store = 6_000_000_000  # per node — aggregate store scales with nodes,
-                           # exactly as a real N- vs 4N-node cluster's would
-    cluster = Cluster(initialize_head=True,
-                      head_node_args={"num_cpus": cpus_per_node,
-                                      "object_store_memory": store})
-    if pin:
-        new = _raylet_pids() - seen_raylets
-        for pid in new:
-            _pin_tree(pid, slices[0])
-        seen_raylets |= new
-    for i in range(n_nodes - 1):
-        cluster.add_node(num_cpus=cpus_per_node, object_store_memory=store)
-        if pin:
-            new = _raylet_pids() - seen_raylets
-            for pid in new:
-                _pin_tree(pid, slices[i + 1])
-            seen_raylets |= new
-    if pin:
-        # driver rides the head node's slice — own pid only (the raylets
-        # are this process's children; _pin_tree here would re-pin them)
-        try:
-            os.sched_setaffinity(0, slices[0])
-        except OSError:
-            pass
-    ray.init(address=cluster.address, include_dashboard=False,
-             logging_level="ERROR")
-    want = n_nodes * cpus_per_node
-    for _ in range(100):
-        if ray.cluster_resources().get("CPU", 0) >= want:
-            break
-        time.sleep(0.2)
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
-    n_alive = len([n for n in ray.nodes() if n["Alive"]])
-    _log(f"cluster up: {n_alive} nodes × {cpus_per_node} cpus")
-    large = os.environ.get("GRAFT_BENCH_LARGE") not in (None, "", "0")
-    crawl = bench_crawl(want, large=large)
-    crawl["n_nodes"] = n_alive
-    ray.shutdown()
-    cluster.shutdown()
-    return crawl
-
-
-def run_scaling_nodes(large: bool = False) -> dict:
-    """Two-cluster-size scaling evidence (the north rule's N vs 4N nodes),
-    as close as one host allows: 1 node × 8 cpus vs 4 nodes × 8 cpus, each a
-    REAL raylet with its own object store (ray.cluster_utils.Cluster — the
-    harness Ray's own multi-node tests use). Frontier shards SPREAD across
-    nodes; the absorb/exchange shard store lands on the host FS, which every
-    node shares (the multi-node shared-storage semantics). Same interleaved
-    best-of protocol as run_scaling (this host's CPU steal, BASELINE.md)."""
-    node_cpus = int(os.environ.get("GRAFT_NODE_CPUS", "8"))
-    results: dict[int, dict] = {}
-    for n_nodes in (1, 4, 1, 4):
-        env = dict(os.environ)
-        if large:
-            env["GRAFT_BENCH_LARGE"] = "1"
-        else:
-            env.pop("GRAFT_BENCH_LARGE", None)  # inherited var must not
-                                                # silently flip the profile
-        _log(f"scaling-nodes run n_nodes={n_nodes}...")
-        ncores = node_cpus * n_nodes
-        cmd = [sys.executable, os.path.abspath(__file__),
-               "--nodes-child", str(n_nodes)]
-        if shutil.which("taskset"):
-            cmd = ["taskset", "-c", f"0-{ncores - 1}"] + cmd
-        out = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)))
-        r = json.loads(out.stdout.strip().splitlines()[-1])
-        _log(f"  steady {r['steady_pages_per_sec']} pages/s "
-             f"({r['n_nodes']} nodes)")
-        if (n_nodes not in results
-                or r["steady_pages_per_sec"]
-                > results[n_nodes]["steady_pages_per_sec"]):
-            results[n_nodes] = r
-    thr1 = results[1]["steady_pages_per_sec"]
-    thr4 = results[4]["steady_pages_per_sec"]
-    return {
-        "metric": "node scaling efficiency (steady-state pages/sec, "
-                  f"1 node vs 4 nodes × {node_cpus} cpus, multi-raylet"
-                  + (", large epochs)" if large else ")"),
-        "value": round((thr4 / thr1) / 4.0, 3),
-        "unit": "efficiency",
-        "nodes_1": {k: results[1][k] for k in
-                    ("crawl_sec", "pages_per_sec", "steady_pages_per_sec",
-                     "n_nodes")},
-        "nodes_4": {k: results[4][k] for k in
-                    ("crawl_sec", "pages_per_sec", "steady_pages_per_sec",
-                     "n_nodes")},
-        "scaling_efficiency": round((thr4 / thr1) / 4.0, 3),
-    }
-
-
-def run_scaling_protocol() -> dict:
-    """Quiet-window node-scaling protocol (r3 VERDICT next-#5): make the
-    ≥0.8 node-scaling claim unconditional on this noisy host.
-
-    One WINDOW = (a) a one-shot no-framework control read (mp_control, the
-    identical kernel under plain multiprocessing — the substrate ceiling),
-    then (b) the 1-node and 4-node multi-raylet crawl trials. Windows whose
-    control reads below ``GRAFT_CONTROL_FLOOR`` (default 0.6) are substrate
-    burst windows — recorded but DISCARDED from the claim. Collects
-    ``GRAFT_PROTOCOL_TRIALS`` (default 5) valid windows (up to
-    ``GRAFT_PROTOCOL_MAX_WINDOWS``) and reports the per-window
-    efficiencies, their median, and every control value."""
-    target = int(os.environ.get("GRAFT_PROTOCOL_TRIALS", "5"))
-    floor = float(os.environ.get("GRAFT_CONTROL_FLOOR", "0.6"))
-    max_windows = int(os.environ.get("GRAFT_PROTOCOL_MAX_WINDOWS", "14"))
-    here = os.path.dirname(os.path.abspath(__file__))
-    windows, valid = [], []
-    for w in range(max_windows):
-        if len(valid) >= target:
-            break
-        # LARGE-epoch profile: the ≥300k-task-epoch regime where per-epoch
-        # fixed costs are <1% — the profile every r3 ≥0.8 reading used and
-        # the one the 10^10-URL rule targets
-        nc = int(os.environ.get("GRAFT_NODE_CPUS", "8"))
-        env = dict(os.environ, CONTROL_ONESHOT="1", GRAFT_BENCH_LARGE="1",
-                   PYTHONPATH=here, GRAFT_BENCH_STREAMING="0",
-                   CONTROL_PROCS=f"{nc},{nc * 4}")
-        _log(f"window {w}: control read...")
-        ctl = subprocess.run(
-            [sys.executable, os.path.join(here, "probes", "mp_control.py")],
-            env=env, capture_output=True, text=True, cwd=here)
-        try:
-            control = json.loads(
-                ctl.stdout.strip().splitlines()[-1])["control_efficiency"]
-        except Exception:
-            _log(f"  control failed: {ctl.stderr[-300:]}")
-            continue
-        _log(f"  control {control}")
-        if control < floor:
-            # substrate burst window — skip the engine trials entirely
-            # (the control IS the qualification; engine numbers from a
-            # burst window would be discarded anyway), and idle a while so
-            # consecutive windows sample different substrate phases
-            windows.append({"window": w, "control": control,
-                            "valid": False, "skipped": True})
-            _log(f"  window {w}: DISCARD (control < {floor})")
-            time.sleep(float(os.environ.get("GRAFT_PROTOCOL_SLEEP", "60")))
-            continue
-        thr = {}
-        ok = True
-        for n_nodes in (1, 4):
-            ncores = int(os.environ.get("GRAFT_NODE_CPUS", "8")) * n_nodes
-            cmd = [sys.executable, os.path.abspath(__file__),
-                   "--nodes-child", str(n_nodes)]
-            if shutil.which("taskset"):
-                cmd = ["taskset", "-c", f"0-{ncores - 1}"] + cmd
-            out = subprocess.run(cmd, env=env, capture_output=True,
-                                 text=True, cwd=here)
-            try:
-                r = json.loads(out.stdout.strip().splitlines()[-1])
-            except Exception:
-                _log(f"  nodes={n_nodes} failed: {out.stderr[-300:]}")
-                ok = False
-                break
-            thr[n_nodes] = r["steady_pages_per_sec"]
-            _log(f"  nodes={n_nodes}: steady {thr[n_nodes]} pages/s")
-        if not ok:
-            continue
-        eff = round((thr[4] / thr[1]) / 4.0, 3)
-        is_valid = control >= floor
-        windows.append({"window": w, "control": control,
-                        "steady_1node": thr[1], "steady_4node": thr[4],
-                        "efficiency": eff, "valid": is_valid})
-        if is_valid:
-            valid.append(eff)
-        _log(f"  window {w}: eff {eff} ({'valid' if is_valid else 'DISCARD'}"
-             f", {len(valid)}/{target} collected)")
-    valid.sort()
-    nc = int(os.environ.get("GRAFT_NODE_CPUS", "8"))
-    return {
-        "metric": "node scaling efficiency, quiet-window protocol "
-                  f"(control-qualified windows, 1 vs 4 raylets × {nc} cpus)",
-        # true median (even-length series interpolate — the upper-middle
-        # element would overstate an even series by up to half the gap)
-        "value": round(statistics.median(valid), 4) if valid else None,
-        "unit": "efficiency (median of valid windows)",
-        "control_floor": floor,
-        "n_valid": len(valid), "n_windows": len(windows),
-        "valid_efficiencies": valid,
-        "windows": windows,
-    }
-
-
-
 def run_epoch_ab_child(images_dir: str, num_cpus: int) -> dict:
     """Fresh-process multimodal one-scan-vs-three-scans A/B (r4 VERDICT
     next #3). Isolated in its own Ray session: measured 3.46x clean vs
@@ -680,23 +372,11 @@ def run_epoch_ab_child(images_dir: str, num_cpus: int) -> dict:
 
 def main() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    if "--nodes-child" in sys.argv:
-        k = int(sys.argv[sys.argv.index("--nodes-child") + 1])
-        print(json.dumps(run_nodes_child(k)))
-    elif "--epoch-ab" in sys.argv:
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS")
+                   or len(os.sched_getaffinity(0)))
+    if "--epoch-ab" in sys.argv:
         d = sys.argv[sys.argv.index("--epoch-ab") + 1]
         print(json.dumps(run_epoch_ab_child(d, num_cpus)))
-    elif "--scaling-protocol" in sys.argv:
-        print(json.dumps(run_scaling_protocol()))
-    elif "--scaling-nodes-large" in sys.argv:
-        print(json.dumps(run_scaling_nodes(large=True)))
-    elif "--scaling-nodes" in sys.argv:
-        print(json.dumps(run_scaling_nodes()))
-    elif "--scaling-large" in sys.argv:
-        print(json.dumps(run_scaling(large=True)))
-    elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
     else:
         print(json.dumps(run_full(sf_dir, num_cpus)))
 

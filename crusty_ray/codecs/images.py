@@ -53,7 +53,8 @@ def encode_png(pixels: np.ndarray) -> bytes:
 
 def decode_png(data: bytes) -> np.ndarray:
     """Decode the PNG subset `encode_png` emits (8-bit RGB, filter 0)."""
-    assert data[:8] == _PNG_SIG, "not a PNG"
+    if data[:8] != _PNG_SIG:
+        raise ValueError("not a PNG")
     pos, w, h, idat = 8, 0, 0, b""
     while pos < len(data):
         (length,) = struct.unpack(">I", data[pos:pos + 4])
@@ -61,14 +62,16 @@ def decode_png(data: bytes) -> np.ndarray:
         body = data[pos + 8:pos + 8 + length]
         if tag == b"IHDR":
             w, h, depth, ctype = struct.unpack(">IIBB", body[:10])
-            assert depth == 8 and ctype == 2, "unsupported PNG subset"
+            if depth != 8 or ctype != 2:
+                raise ValueError("unsupported PNG subset")
         elif tag == b"IDAT":
             idat += body
         elif tag == b"IEND":
             break
         pos += 12 + length
     raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8).reshape(h, 1 + w * 3)
-    assert (raw[:, 0] == 0).all(), "unsupported PNG filter"
+    if not (raw[:, 0] == 0).all():
+        raise ValueError("unsupported PNG filter")
     return raw[:, 1:].reshape(h, w, 3).copy()
 
 
@@ -80,7 +83,8 @@ def _encode_lossy(pixels: np.ndarray, fmt: str) -> bytes:
 
 
 def _decode_lossy(data: bytes) -> np.ndarray:
-    assert data[:4] == _LOSSY_MAGIC, "not a lossy stand-in payload"
+    if data[:4] != _LOSSY_MAGIC:
+        raise ValueError("not a lossy stand-in payload")
     w, h = struct.unpack(">II", data[8:16])
     q = np.frombuffer(zlib.decompress(data[16:]), dtype=np.uint8).reshape(h, w, 3)
     # dequantize to bin centers: v*4 + 2, matching uniform-quantizer reconstruction
@@ -96,14 +100,26 @@ def encode_image(pixels: np.ndarray, fmt: str) -> bytes:
 
 
 def decode_image(data: bytes, fmt: str) -> np.ndarray:
-    """bytes → HxWx3 uint8 pixels. Raises on corrupt/unknown payloads."""
+    """bytes → HxWx3 uint8 pixels. A corrupt, truncated or empty payload
+    raises ``ValueError``; a format with no codec here raises
+    ``NotImplementedError``."""
     if fmt == "png":
-        return decode_png(data)
-    if fmt in ("jpeg", "webp"):
-        return _decode_lossy(data)
-    raise NotImplementedError(
-        f"format {fmt!r} needs an external codec not present in this environment"
-    )
+        decode = decode_png
+    elif fmt in ("jpeg", "webp"):
+        decode = _decode_lossy
+    else:
+        raise NotImplementedError(
+            f"format {fmt!r} needs an external codec not present in this environment"
+        )
+    if not data:
+        raise ValueError(f"empty {fmt} payload")
+    try:
+        pixels = decode(data)
+    except (struct.error, zlib.error) as e:
+        raise ValueError(f"corrupt {fmt} payload: {e}") from e
+    if pixels.size == 0:
+        raise ValueError(f"{fmt} payload has no pixels")
+    return pixels
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

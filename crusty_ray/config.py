@@ -30,10 +30,6 @@ class JobsConfig:
     shard_total: int = 2
     addr_key_v4_mask: int = 24
     addr_key_v6_mask: int = 24
-    # enqueue/finish bloom (conf/default.yaml:66-79)
-    bf_initial_capacity: int = 10_000_000
-    bf_error_rate: float = 0.001
-    bf_expansion_factor: int = 2
     # dequeue (conf/default.yaml:80-89)
     dequeue_limit: int = 10_000
 
@@ -57,7 +53,6 @@ class CrawlSettings:
     delay_epochs: int = 1         # delay:1s → one fetch round per domain per epoch
     delay_jitter_epochs: int = 0  # delay_jitter:1s → +hash(domain) % (j+1) epochs,
                                   # deterministic per domain (vs the reference's prng)
-    status_timeout_ms: int = 5000
     load_timeout_ms: int = 10000
     job_soft_timeout_epochs: int = 180   # stop queueing new tasks for the job
     job_hard_timeout_epochs: int = 300   # kill the job
@@ -91,11 +86,9 @@ class DiscoveryConfig:
 
 @dataclass
 class EngineConfig:
-    """Ray-Data executor knobs (ours; no reference equivalent)."""
-    fetch_concurrency: int = 8        # fetch/parse actor pool size
+    """Crawl-engine and image-pipeline knobs (ours; no reference equivalent)."""
     fetch_batch_size: int = 512
     decode_batch_size: int = 64       # image rows are wide — small batches
-    target_max_block_size: int = 128 * 1024 * 1024
     max_epochs: int = 50
     checkpoint_every_epochs: int = 1
     seen_bloom_capacity: int = 1 << 20   # per-shard bloom pre-filter
@@ -145,7 +138,6 @@ class EngineConfig:
 
 @dataclass
 class Config:
-    host: str = "crawler-1"
     seeds: list[str] = field(default_factory=list)
     jobs: JobsConfig = field(default_factory=JobsConfig)
     rules: RulesConfig = field(default_factory=RulesConfig)
@@ -244,7 +236,6 @@ def test_config(**overrides) -> Config:
     cfg.jobs.shard_total = 4
     cfg.jobs.shard_max = 4
     cfg.jobs.dequeue_limit = 100
-    cfg.engine.fetch_concurrency = 2  # tests run in a 4-CPU Ray session
     cfg.engine.seen_bloom_capacity = 1 << 14
     cfg.engine.cuckoo_capacity = 1 << 14
     cfg.engine.max_epochs = 30

@@ -98,13 +98,6 @@ def domain_shard(domain: str, shard_total: int) -> int:
     return zlib.crc32(domain.encode("utf-8")) % shard_total
 
 
-def domain_shards(domains: Sequence[str], shard_total: int) -> np.ndarray:
-    """Vectorized ``domain_shard`` for a batch."""
-    return np.fromiter(
-        (zlib.crc32(d.encode("utf-8")) for d in domains), dtype=np.int64, count=len(domains)
-    ) % shard_total
-
-
 def resolve_domain_row(
     addrs: Optional[Sequence[str]],
     shard_total: int,

@@ -1299,7 +1299,7 @@ def doc_dedup_groups_ds(sf_dir: str, threshold_pm: int = 500,
     ``_ngram_pairs_impl``) — the scale knob for low-diversity corpora
     where hot grams put thousands of docs in one pair group (measured:
     a 31-token-vocab 500k-doc fixture is pair-quadratic uncapped,
-    probes/text_ops_scale_smoke.py). ``None`` (default) keeps the
+    probes/scale_smoke.py text_ops). ``None`` (default) keeps the
     bit-exact oracle face."""
     from .agg import partitioned_group_apply
 

@@ -751,7 +751,7 @@ def salted_join_segment_stats_ds(sf_dir: str, hot_threshold: int = 70,
 
     # per-batch partials + one tiny keyed reduce (the repo-wide pre-agg
     # pattern) — the native sort-based groupby().aggregate() was measured
-    # 30x slower on the 2M-row joined stream (probes/session_p_scale_smoke)
+    # 30x slower on the 2M-row joined stream (probes/scale_smoke.py session_p)
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby("c_mktsegment", as_index=False).agg(
             n_events=("value_c", "size"), value_cents=("value_c", "sum"))

@@ -51,7 +51,7 @@ class DecodeResizeStage:
                 thumb = resize_nearest(px, self.out_w, self.out_h)
                 thumbs.append(encode_image(thumb, "png"))
                 ok.append(True)
-            except (NotImplementedError, Exception):
+            except (ValueError, NotImplementedError):
                 thumbs.append(None)
                 ok.append(False)
         return batch.append_column("thumb_png", pa.array(thumbs, pa.binary())) \

@@ -296,9 +296,8 @@ class EpochStage:
 
     Chained ``map_batches`` materialize every intermediate block through the
     object store; the epoch pipeline touches each block three times for no
-    reason. One fused stage does a single pass — the component classes stay
-    usable standalone (and as actor pools) for deployments where fetch state
-    is heavy.
+    reason. One fused stage does a single pass; the simulator calls the
+    same component classes (``FetchStage``, ``DiscoverStage``) directly.
 
     Routing is **shuffle-via-storage**: each batch writes its results
     shard-grouped under ``absorb_dir/group=G/``; the owning actors read

@@ -129,12 +129,6 @@ class CrawlSimulator:
             s.apply_enqueues(epoch)
 
     # -- oracle outputs ----------------------------------------------------
-    def seen_domain_set(self) -> set[str]:
-        return set(self.finished_domains)
-
-    def seen_url_set(self) -> set[str]:
-        return {r["url"] for r in self.crawl_log}
-
     def seen_filter_bytes(self) -> list[bytes]:
         """Serialized per-shard cuckoo filters — byte-exact comparable."""
         return [s.cuckoo.to_bytes() for s in self.shards]

@@ -6,7 +6,8 @@ validity (len ≥ 4, contains '.', != task domain), IANA TLD membership, then
 job-state accumulation and LRU dedup, then DNS resolution and sharding
 (``crusty.rs:405-432``, ``types.rs:22-55``).
 
-Here the *pure* parts run vectorized in a stateless ``map_batches`` stage:
+Here the *pure* parts run vectorized in a stateless batch kernel (called by
+``EpochStage`` inside each crawl task):
 basic filter + TLD check + synthetic DNS resolve + addr_key/shard. The
 *stateful* parts (per-job linked-domain accumulation, node LRU, bloom gate,
 pending dedup) stay in the frontier shard actor, which receives the candidate

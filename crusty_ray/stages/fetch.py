@@ -1,8 +1,9 @@
-"""Synthetic fetch + parse — the MultiCrawler page path as a map_batches stage.
+"""Synthetic fetch + parse — the MultiCrawler page path as a batch kernel.
 
-One actor = one crawler worker: ``__init__`` builds the synthetic web handle,
-robots cache and compiled parser (once per actor); ``__call__`` processes an
-Arrow batch of fetch tasks and returns one result row per task.
+``EpochStage`` (pipelines/crawl.py) and the simulator each hold one
+``FetchStage``: ``__init__`` builds the synthetic web handle, robots cache
+and compiled parser once; ``__call__`` processes an Arrow batch of fetch
+tasks and returns one result row per task.
 
 Per-task semantics mirror the reference's status/load filter chain
 (``workspace/main/src/rules.rs:81-94``):
@@ -24,8 +25,9 @@ Per-task semantics mirror the reference's status/load filter chain
 used by the Pages/sec dashboard definition).
 
 The per-row loop is justified: each row is one page whose body must be
-generated + regex-parsed; rows are independent and the actor pool spreads them
-across CPUs. This stage is where a real deployment would do network I/O.
+generated + regex-parsed; rows are independent, and the engine spreads
+batches across CPUs as one Ray task per bundle. This stage is where a real
+deployment would do network I/O.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ RESULT_SCHEMA = pa.schema([
 
 
 class FetchStage:
-    """Callable class for ``ds.map_batches(FetchStage, fn_constructor_kwargs=…,
-    concurrency=N, batch_format="pyarrow")``."""
+    """Fetch + parse kernel: call it on an Arrow table of fetch tasks to get
+    the ``RESULT_SCHEMA`` table, one row per task."""
 
     def __init__(self, web_cfg: WebConfig, cfg: Config, parser: str = "regex",
                  rules=None):
@@ -140,7 +142,3 @@ def rows_to_table(rows: list[dict]) -> pa.Table:
     return pa.table(
         {n: pa.array(cols[n], type=RESULT_SCHEMA.field(n).type) for n in RESULT_SCHEMA.names}
     )
-
-
-def empty_result_table() -> pa.Table:
-    return RESULT_SCHEMA.empty_table()

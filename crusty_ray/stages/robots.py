@@ -123,33 +123,3 @@ def parse_robots(body: Optional[str], agent: str = "crusty") -> RobotsRules:
         plen, matcher = _compile_pattern(pat)
         rules.append((plen, allow, matcher))
     return RobotsRules(rules)
-
-
-# ----------------------------------------------------------- legacy helpers
-# kept for the r1-era call shape (prefix-only tests); the engine now caches
-# RobotsRules objects directly.
-
-def parse_disallows(body: Optional[str]) -> list[str]:
-    """Disallow prefixes applying to ``User-agent: *`` (empty = allow all)."""
-    if not body:
-        return []
-    out: list[str] = []
-    applies = False
-    for line in body.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition(":")
-        key, val = key.strip().lower(), val.strip()
-        if key == "user-agent":
-            applies = val == "*"
-        elif key == "disallow" and applies and val:
-            out.append(val)
-    return out
-
-
-def allowed(url: str, disallows: list[str]) -> bool:
-    if not disallows:
-        return True
-    path = urlsplit(url).path or "/"
-    return not any(path.startswith(d) for d in disallows)

@@ -145,12 +145,6 @@ class ShardState:
                       "tasks_emitted": 0}
 
     # ------------------------------------------------------------- seen tiers
-    def _seen(self, domain: str) -> bool:
-        """bloom pre-filter (no false negatives) → cuckoo authoritative."""
-        if domain not in self.bloom:
-            return False
-        return domain in self.cuckoo
-
     def _mark_seen(self, domain: str) -> None:
         self.bloom.add_batch([domain])
         self.cuckoo.add_batch([domain])

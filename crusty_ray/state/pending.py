@@ -195,9 +195,6 @@ class PendingStore:
     def _mh(domain: str) -> int:
         return int(hash64(domain, seed=_MEMBER_SEED))
 
-    def contains_domain(self, domain: str) -> bool:
-        return self._mh(domain) in self.members
-
     def contains_mh(self, mh: int) -> bool:
         """Membership by PRECOMPUTED domain hash (the batch enqueue path
         hashes every domain once, vectorized, instead of per check)."""

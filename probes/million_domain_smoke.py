@@ -38,7 +38,6 @@ def main() -> None:
     cfg.rules.links_per_task_budget = 8
     cfg.rules.max_level = 4
     cfg.crawl.concurrency = 24
-    cfg.engine.fetch_concurrency = 28
     cfg.engine.fetch_batch_size = 1024
     if os.path.isdir("/dev/shm"):
         cfg.engine.scratch_dir = "/dev/shm"

@@ -1,6 +1,10 @@
 """Image codec + payload invariant tests (input_hint: PSNR ≥ 40 dB, caption equality)."""
 
+import struct
+import zlib
+
 import numpy as np
+import pytest
 
 from crusty_ray.codecs.images import (
     decode_image, encode_image, phash64, psnr,
@@ -39,6 +43,45 @@ class TestLossy:
     def test_shape_preserved(self):
         px = _pixels(1, w=17, h=9)
         assert decode_image(encode_image(px, "webp"), "webp").shape == (9, 17, 3)
+
+
+def _chunk(tag, body):
+    return (struct.pack(">I", len(body)) + tag + body
+            + struct.pack(">I", zlib.crc32(tag + body)))
+
+
+_SIG = b"\x89PNG\r\n\x1a\n"
+_IHDR = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+_LOSSY = encode_image(_pixels(w=4, h=4), "jpeg")
+
+
+class TestCorruptPayloads:
+    """Bytes from outside the program fail as ValueError, never as an
+    assert (stripped by ``python -O``) or a bare struct/zlib error."""
+
+    @pytest.mark.parametrize("fmt,data", [
+        ("png", b"\xde\xad\xbe\xef" + encode_image(_pixels(), "png")[4:]),
+        ("png", _SIG + struct.pack(">I", 13) + b"IHDR" + _IHDR[:5]),
+        ("png", _SIG + _chunk(b"IHDR", _IHDR) + _chunk(b"IDAT", b"not zlib")
+         + _chunk(b"IEND", b"")),
+        ("png", _SIG + _chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 6,
+                                                   0, 0, 0))),
+        ("png", _SIG + _chunk(b"IHDR", struct.pack(">IIBBBBB", 0, 0, 8, 2,
+                                                   0, 0, 0))
+         + _chunk(b"IDAT", zlib.compress(b"")) + _chunk(b"IEND", b"")),
+        ("png", b""),
+        ("jpeg", b"XXXX" + _LOSSY[4:]),
+        ("webp", _LOSSY[:11]),
+    ], ids=["bad_signature", "truncated_ihdr", "bad_zlib",
+            "unsupported_color_type", "zero_size", "empty_payload",
+            "bad_lossy_magic", "truncated_lossy_header"])
+    def test_raises_value_error(self, fmt, data):
+        with pytest.raises(ValueError):
+            decode_image(data, fmt)
+
+    def test_unknown_format_is_not_implemented(self):
+        with pytest.raises(NotImplementedError):
+            decode_image(b"GIF89a", "gif")
 
 
 class TestPhash:

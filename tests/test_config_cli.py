@@ -1,8 +1,13 @@
 """Config layering (config.rs:260-292 semantics) + CLI smoke tests."""
 
+import ast
+import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
+
+import yaml
 
 from crusty_ray.config import Config, load_config
 
@@ -53,6 +58,56 @@ class TestConfigLayering:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         cfg = load_config(os.path.join(root, "conf", "default.yaml"), env={})
         assert cfg.jobs.dequeue_limit == 10000
+
+
+class TestNoDeadKnobs:
+    """Every config field is read by the engine, and the shipped yaml sets
+    only fields that exist: a knob nothing reads is a promise the engine
+    does not keep."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    @staticmethod
+    def _leaves(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            v = getattr(obj, f.name)
+            if dataclasses.is_dataclass(v):
+                yield from TestNoDeadKnobs._leaves(v, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+    def _names_read(self):
+        """Attribute names and ``getattr(obj, "<name>")`` strings used in
+        the package (outside config.py) and the contract entry point."""
+        pkg = self.ROOT / "crusty_ray"
+        files = [p for p in pkg.rglob("*.py") if p != pkg / "config.py"]
+        names = set()
+        for path in files + [self.ROOT / "__ray_entry__.py"]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr" and len(node.args) >= 2
+                      and isinstance(node.args[1], ast.Constant)):
+                    names.add(node.args[1].value)
+        return names
+
+    def test_every_field_is_read(self):
+        names = self._names_read()
+        dead = [f for f in self._leaves(Config())
+                if f.rsplit(".", 1)[-1] not in names]
+        assert dead == []
+
+    def test_default_yaml_keys_are_fields(self):
+        data = yaml.safe_load((self.ROOT / "conf" / "default.yaml").read_text())
+        cfg = Config()
+        top = {f.name for f in dataclasses.fields(cfg)}
+        assert set(data) <= top
+        for section, body in data.items():
+            sub = getattr(cfg, section)
+            if dataclasses.is_dataclass(sub):
+                assert set(body) <= {f.name for f in dataclasses.fields(sub)}, section
 
 
 class TestCli:

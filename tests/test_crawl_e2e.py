@@ -111,10 +111,9 @@ class TestEngineMatchesSimulator:
         assert eng.seen_filter_bytes() == sim_result.seen_filter_bytes()
 
     def test_ray_dataset_path_exact_match(self, ray_session, tmp_path, sim_result):
-        # force every epoch through the distributed Dataset pipeline
+        # force every epoch through the Ray task path (one task per bundle)
         cfg = small_cfg(**{"engine.min_epoch_rows_for_ray": 0,
-                           "engine.fetch_batch_size": 16,
-                           "engine.fetch_concurrency": 2})
+                           "engine.fetch_batch_size": 16})
         eng = self._engine(tmp_path, cfg).run()
         edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
         pd.testing.assert_frame_equal(edf, sdf, check_dtype=False)
@@ -128,8 +127,7 @@ class TestEngineMatchesSimulator:
         # uncovered by the conformance suite (tests used 4 shards = 1 group)
         cfg = small_cfg(**{"jobs.shard_total": 20, "jobs.shard_max": 20,
                            "engine.min_epoch_rows_for_ray": 0,
-                           "engine.fetch_batch_size": 16,
-                           "engine.fetch_concurrency": 2})
+                           "engine.fetch_batch_size": 16})
         sim = CrawlSimulator(cfg, WEB_CFG).run()
         eng = self._engine(tmp_path, cfg).run()
         edf, sdf = log_df(eng.read_crawl_log()), log_df(sim.crawl_log)

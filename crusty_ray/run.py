@@ -34,7 +34,11 @@ def main(argv=None) -> int:
     ap.add_argument("--images", action="store_true",
                     help="run the image decode/verify pipeline after the crawl")
     ap.add_argument("--num-cpus", type=int,
-                    default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+                    default=int(os.environ.get("RAY_GRAFT_CPUS")
+                                or len(os.sched_getaffinity(0))),
+                    help="CPUs of a local Ray session (default: "
+                         "$RAY_GRAFT_CPUS, else the CPUs this process may "
+                         "run on)")
     ap.add_argument("--web-domains", type=int, default=1000,
                     help="synthetic web size (stand-in for live HTTP)")
     args = ap.parse_args(argv)
@@ -67,12 +71,10 @@ def main(argv=None) -> int:
     if args.mode:
         cfg.engine.mode = args.mode
     from .pipelines.crawl import CrawlEngine
-    from .pipelines.streaming import StreamingCrawlEngine, make_engine
-    cls = StreamingCrawlEngine if cfg.engine.mode == "streaming" else CrawlEngine
     if args.resume:
-        eng = cls.resume(cfg, web_cfg, args.out, seeds=cfg.seeds)
+        eng = CrawlEngine.resume(cfg, web_cfg, args.out, seeds=cfg.seeds)
     else:
-        eng = make_engine(cfg, web_cfg, args.out, seeds=cfg.seeds)
+        eng = CrawlEngine(cfg, web_cfg, args.out, seeds=cfg.seeds)
     eng.run(args.epochs)
 
     summary = json.load(open(f"{args.out}/summary.json"))

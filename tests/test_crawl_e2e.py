@@ -276,6 +276,67 @@ class TestResume:
         assert eng2.seen_filter_bytes() == sim_result.seen_filter_bytes()
 
 
+
+class TestStageReplay:
+    """A BSP epoch is a permit with a window of one: a failed stage is
+    replayed once at its turn, and a second failure aborts loudly."""
+
+    def test_worker_task_failure_replayed(self, ray_session, tmp_path,
+                                          monkeypatch, sim_result):
+        """A stage task raises inside its Ray worker once, after writing
+        its files: the epoch is replayed and the crawl equals the
+        simulator's log."""
+        import os
+
+        import ray
+        from crusty_ray.pipelines import crawl
+
+        flag = str(tmp_path / "failed-once")
+
+        @ray.remote
+        def run_bundle(stage, *blocks):
+            import pyarrow as pa
+            out = stage(pa.concat_tables(blocks))
+            if stage.epoch == 2:
+                try:  # exactly one task, across worker processes, fails
+                    os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return out
+                raise OSError("injected worker-task failure")
+            return out
+
+        monkeypatch.setattr(crawl, "_run_bundle", run_bundle)
+        cfg = small_cfg(**{"engine.min_epoch_rows_for_ray": 0,
+                           "engine.fetch_batch_size": 16})
+        eng = crawl.CrawlEngine(cfg, WEB_CFG, str(tmp_path / "out")).run()
+        assert os.path.exists(flag)  # the injection actually fired
+        edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
+        pd.testing.assert_frame_equal(edf, sdf, check_dtype=False)
+        assert eng.finished_domains == sim_result.finished_domains
+        assert eng.seen_filter_bytes() == sim_result.seen_filter_bytes()
+
+    def test_persistent_failure_aborts(self, ray_session, tmp_path,
+                                       monkeypatch):
+        """An in-process stage that fails on its attempt and its replay
+        aborts the run before the epoch's state is applied."""
+        from crusty_ray.pipelines.crawl import CrawlEngine, EpochStage
+
+        orig = EpochStage.process
+        calls = {"n": 0}
+
+        def broken(self, batch):
+            if self.epoch == 2:
+                calls["n"] += 1
+                raise OSError("injected persistent stage failure")
+            return orig(self, batch)
+
+        monkeypatch.setattr(EpochStage, "process", broken)
+        eng = CrawlEngine(small_cfg(), WEB_CFG, str(tmp_path / "out"))
+        with pytest.raises(RuntimeError, match="replay also failed"):
+            eng.run()
+        assert calls["n"] == 2  # the attempt and its replay
+        assert {m["epoch"] for m in eng.job_metrics} <= {0, 1}
+
 def test_compact_log_at_end(ray_session, tmp_path):
     """engine.compact_log_at_end: the drain rewrites the per-epoch/per-block
     crawl_log small files into ~64 MiB compact files BESIDE the resumable

@@ -57,6 +57,28 @@ def test_all_oracle_keys_have_queries(contract):
     assert not missing, f"oracle without query: {missing}"
 
 
+
+def test_crawl_faces_lead_the_registry():
+    """A caller that samples the first 50 keys of ``queries()`` checks
+    every oracled crawl face and ``domain_pagerank``. The pins hold the
+    key set and every oracle string fixed across reorderings; a face added
+    or changed on purpose updates them."""
+    import hashlib
+    import json
+
+    import __ray_entry__ as entry
+
+    keys = list(entry.queries())
+    oracles = entry.oracle_sql()
+    crawl = {k for k in oracles if k.startswith("crawl_")}
+    assert len(crawl) == 6
+    assert crawl | {"domain_pagerank"} <= set(keys[:50])
+    assert hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest() == (
+        "7a82048c71af0b9110a995185d594d68902e360a5ef0de7676a79181a0c6cfb5")
+    assert hashlib.sha256(json.dumps(oracles, sort_keys=True).encode()
+                          ).hexdigest() == (
+        "cbff3106f3458a4d0ca56b35d7c59cd2020bea7c74fbc09e2f5cdf63e82a03be")
+
 def test_every_query_is_covered_by_some_check(contract):
     """Completeness guard: every queries() entry must appear in exactly one
     of the check lists below — a new query that lands in none would silently

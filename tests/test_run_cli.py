@@ -50,3 +50,31 @@ def test_cli_crawl_resume_and_streaming(tmp_path):
     r4 = _run(["--out", str(tmp_path / "x")],
               env_extra={"CRUSTY_SEEDS": ""})
     assert r4.returncode == 2
+
+
+def test_num_cpus_default(monkeypatch, tmp_path):
+    """A local session gets the CPUs this process may run on, unless
+    RAY_GRAFT_CPUS overrides them (bench.py's rule)."""
+    import ray
+    from crusty_ray import run
+
+    class Started(Exception):
+        pass
+
+    seen = []
+
+    def fake_init(**kw):
+        seen.append(kw.get("num_cpus"))
+        raise Started
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init", fake_init)
+    monkeypatch.setenv("RAY_ADDRESS", "local")
+    monkeypatch.setenv("CRUSTY_SEEDS", "http://site00000.com/")
+    monkeypatch.delenv("RAY_GRAFT_CPUS", raising=False)
+    with pytest.raises(Started):
+        run.main(["--out", str(tmp_path / "a")])
+    monkeypatch.setenv("RAY_GRAFT_CPUS", "3")
+    with pytest.raises(Started):
+        run.main(["--out", str(tmp_path / "b")])
+    assert seen == [len(os.sched_getaffinity(0)), 3]

@@ -38,7 +38,7 @@ def test_streaming_matches_bsp_sets(ray_session, tmp_path):
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bsp")).run()
     stream = make_engine(_cfg("streaming"), WEB_CFG,
                          str(tmp_path / "stream")).run()
-    assert type(stream).__name__ == "StreamingCrawlEngine"
+    assert type(stream).__name__ == "CrawlEngine"
 
     blog = bsp.read_crawl_log().to_pandas()
     slog = stream.read_crawl_log().to_pandas()
@@ -93,7 +93,8 @@ def test_streaming_drain_and_resume(ray_session, tmp_path):
     """request_stop mid-stream: drain the window, checkpoint at the quiesce
     point, and a resumed run completes with the same final sets as BSP."""
     import threading
-    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
+    from crusty_ray.pipelines.crawl import CrawlEngine
+    from crusty_ray.pipelines.streaming import make_engine
 
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
@@ -103,7 +104,7 @@ def test_streaming_drain_and_resume(ray_session, tmp_path):
     eng.run()
     assert eng.epochs_run < bsp.epochs_run or eng._stop_requested
 
-    rec = StreamingCrawlEngine.resume(cfg, WEB_CFG, str(tmp_path / "sd")).run()
+    rec = CrawlEngine.resume(cfg, WEB_CFG, str(tmp_path / "sd")).run()
     rlog = rec.read_crawl_log().to_pandas()
     blog = bsp.read_crawl_log().to_pandas()
     assert not rlog.duplicated(["domain", "url"]).any()
@@ -190,13 +191,14 @@ def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
     Transient case: the driver-side wait fails once after the permit's
     tasks wrote their files; the one idempotent replay succeeds and the
     final crawl is bit-identical to BSP — zero silently-missing log rows."""
-    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
+    from crusty_ray.pipelines.crawl import CrawlEngine
+    from crusty_ray.pipelines.streaming import make_engine
 
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
     cfg = _cfg("streaming")
     cfg.engine.min_epoch_rows_for_ray = 0  # force stage-task permits
-    orig = StreamingCrawlEngine._await_stage
+    orig = CrawlEngine._await_stage
     state = {"failed": 0}
 
     def flaky(self, entry):
@@ -205,7 +207,7 @@ def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
             state["failed"] += 1
             raise OSError("injected transient sink failure")
 
-    monkeypatch.setattr(StreamingCrawlEngine, "_await_stage", flaky)
+    monkeypatch.setattr(CrawlEngine, "_await_stage", flaky)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "flaky")).run()
     assert state["failed"] == 1  # the injection actually fired
 
@@ -223,7 +225,8 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
     the run must abort LOUDLY at the permit barrier (never apply the permit
     as if its rows were written)."""
     import pytest
-    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
+    from crusty_ray.pipelines.crawl import CrawlEngine
+    from crusty_ray.pipelines.streaming import make_engine
 
     cfg = _cfg("streaming")
     cfg.engine.min_epoch_rows_for_ray = 0
@@ -233,7 +236,7 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
         calls["n"] += 1
         raise OSError("injected persistent sink failure")
 
-    monkeypatch.setattr(StreamingCrawlEngine, "_await_stage", broken)
+    monkeypatch.setattr(CrawlEngine, "_await_stage", broken)
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "broken"))
     with pytest.raises(RuntimeError, match="replay also failed"):
         eng.run()
@@ -379,7 +382,8 @@ def test_streaming_periodic_checkpoint_hard_crash(ray_session, tmp_path):
     drain, no final checkpoint — the engine dies between periodic
     checkpoints) must leave a resumable state; the resumed crawl's final
     sets equal BSP's."""
-    from crusty_ray.pipelines.streaming import StreamingCrawlEngine, make_engine
+    from crusty_ray.pipelines.crawl import CrawlEngine
+    from crusty_ray.pipelines.streaming import make_engine
 
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
@@ -410,10 +414,49 @@ def test_streaming_periodic_checkpoint_hard_crash(ray_session, tmp_path):
     with open(tmp_path / "hc" / "checkpoints" / "LATEST") as f:
         assert f.read().strip() == "epoch_000003"
 
-    rec = StreamingCrawlEngine.resume(cfg, WEB_CFG, str(tmp_path / "hc")).run()
+    rec = CrawlEngine.resume(cfg, WEB_CFG, str(tmp_path / "hc")).run()
     rlog = rec.read_crawl_log().to_pandas()
     blog = bsp.read_crawl_log().to_pandas()
     assert not rlog.duplicated(["domain", "url"]).any()
     assert (sorted(zip(rlog["domain"], rlog["url"]))
             == sorted(zip(blog["domain"], blog["url"])))
     assert sorted(rec.finished_domains) == sorted(bsp.finished_domains)
+
+
+class _CountedHandle:
+    """An actor handle that records each remote call as (method, args)."""
+
+    def __init__(self, handle, calls: list):
+        self._handle, self._calls = handle, calls
+
+    def __getattr__(self, name):
+        import types
+        method = getattr(self._handle, name)
+
+        def remote(*args):
+            self._calls.append((name, args))
+            return method.remote(*args)
+        return types.SimpleNamespace(remote=remote)
+
+
+def test_full_window_permit_dequeued_in_deliver(ray_session, tmp_path):
+    """A permit that waits for a window slot is dequeued inside the deliver
+    round of the completion that frees the slot: the driver sends it no
+    separate take_ready_refs round, and every task-carrying permit is
+    dequeued exactly one way."""
+    from crusty_ray.pipelines.streaming import make_engine
+
+    cfg = _cfg("streaming")
+    cfg.engine.streaming_window = 3
+    eng = make_engine(cfg, WEB_CFG, str(tmp_path / "cnt"))
+    calls: list = []
+    eng.actors = [_CountedHandle(a, calls) for a in eng.actors]
+    eng.run()
+
+    rounds = {args[0] for name, args in calls if name == "take_ready_refs"}
+    ahead = {args[2] for name, args in calls
+             if name == "deliver" and args[2] is not None}
+    carrying = {p for p, _n, _s in eng.permit_latencies}
+    assert ahead and not ahead & rounds
+    assert carrying <= rounds | ahead
+    assert len(ahead) > len(carrying) // 2

@@ -246,3 +246,6 @@ def test_config(**overrides) -> Config:
             obj = getattr(obj, p)
         setattr(obj, last, v)
     return cfg
+
+
+test_config.__test__ = False  # a factory: pytest must not collect it as a test

@@ -307,10 +307,10 @@ class EpochStage:
     """Fused fetch → discover → route → log write in ONE stage — the only
     place an epoch's or a permit's tasks are executed.
 
-    Chained ``map_batches`` materialize every intermediate block through the
-    object store; the epoch pipeline touches each block three times for no
-    reason. One fused stage does a single pass; the simulator calls the
-    same component classes (``FetchStage``, ``DiscoverStage``) directly.
+    Separate fetch, discover and route steps would each materialize their
+    intermediate blocks through the object store; one fused stage does a
+    single pass over each task block. The simulator calls the same
+    component classes (``FetchStage``, ``DiscoverStage``) directly.
 
     Routing is **shuffle-via-storage**: each batch writes its results
     shard-grouped under ``absorb_dir/group=G/``; the owning actors read

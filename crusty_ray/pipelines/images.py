@@ -5,13 +5,11 @@ decoded-pixel allclose (PSNR ≥ 40 dB for lossy formats) + exact caption
 equality, over a Lance-shaped table ``images(image_id, bytes, w, h, fmt,
 caption, phash)`` (BASELINE.json ``input_hint``).
 
-Pipeline (all streaming, zero-copy Arrow):
-
-  read crawl_log → explode ``image_ids`` (per-batch flat_map) → dedup by
-  hash-partitioned groupby-first → ``map_batches(ImageFetchStage,
-  concurrency=N, batch_size=decode_batch_size)`` (actor pool: codec state
-  built once per actor; wide binary rows → small batches, SURVEY §7.4.5) →
-  write partitioned parquet.
+Pipeline (plain Ray tasks): the driver reads the crawl log's ``image_ids``
+and takes the sorted distinct ids → one ``@ray.remote`` task per contiguous
+part runs ``ImageFetchStage`` over ``decode_batch_size`` slices (wide binary
+rows → small batches, SURVEY §7.4.5) → the parts' tables go from the object
+store through the storage seam; no payload passes through the driver.
 
 In production the fetch would be HTTP GET + a real codec; here bytes come from
 the deterministic synthetic web and the codecs in ``codecs/images.py``. The
@@ -23,11 +21,13 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
+import pyarrow.dataset as pads
+import ray
 
 from ..codecs.images import decode_image, encode_image, phash64, psnr
 from ..config import Config
 from ..datagen.webgraph import SyntheticWeb, WebConfig
+from ..ops.io import read_dataset, write_dataset
 
 IMAGE_SCHEMA = pa.schema([
     ("image_id", pa.string()),
@@ -53,9 +53,9 @@ def explode_image_ids(batch: pa.Table) -> pa.Table:
 
 
 class ImageFetchStage:
-    """Actor-pool stage: synthesize/fetch the payload, decode, verify.
+    """Synthesize/fetch the payload, decode, verify.
 
-    ``__init__`` holds the codec + web handles (once per actor); ``__call__``
+    ``__init__`` holds the web handle (once per task); ``__call__``
     processes one small batch of wide binary rows.
     """
 
@@ -74,7 +74,7 @@ class ImageFetchStage:
             try:
                 px = decode_image(rec["bytes"], rec["fmt"])
                 decode_ok = px.shape == (rec["h"], rec["w"], 3)
-            except Exception:
+            except (ValueError, NotImplementedError):
                 px, decode_ok = None, False
             if decode_ok:
                 p = psnr(raw, px) if rec["fmt"] != "png" else float("inf")
@@ -94,37 +94,31 @@ class ImageFetchStage:
                          for n in IMAGE_SCHEMA.names})
 
 
+@ray.remote
+def _fetch_part(web_cfg: WebConfig, ids: list[str], batch_size: int) -> pa.Table:
+    stage = ImageFetchStage(web_cfg)
+    return pa.concat_tables(stage(pa.table({"image_id": ids[i:i + batch_size]}))
+                            for i in range(0, len(ids), batch_size))
+
+
 def run_image_pipeline(crawl_log_dir: str, out_dir: str, web_cfg: WebConfig,
                        cfg: Config) -> dict:
     """Decode every image referenced by the crawl; returns invariant summary."""
-    from ..ops.io import read_parquet as io_read
-    ds = io_read(crawl_log_dir, columns=["image_ids"])
-    ds = ds.map_batches(explode_image_ids, batch_format="pyarrow")
-    # exact distinct via coarse hash partitions with pandas drop_duplicates
-    # inside (ops/agg.py pattern — Ray's per-group aggregate pays ~ms per
-    # distinct id; one group per image id would dominate the pipeline)
-    from ..ops.agg import partitioned_group_apply
-    ds = partitioned_group_apply(
-        ds, ["image_id"],
-        lambda df: df.drop_duplicates("image_id")[["image_id"]])
-    # re-split BEFORE the heavy decode: the distinct step's block count
-    # follows the (few) input blocks, which under-parallelizes decode at
-    # high core counts (measured: 8 blocks → 8-way decode on 32 cores,
-    # 6.1 s; after this repartition ~2 s). Unlike a post-compute pre-sink
-    # repartition (see crawl.py — removed), this one moves only tiny id
-    # rows and happens before the expensive stage.
-    import ray as _ray
-    ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    ds = ds.repartition(min(128, max(8, ncpu * 2)))
-    # instance → task mode: codec state is cheap here, and spinning an actor
-    # pool doubles wall time (14.4s vs 6.4s for 27k images measured); a real
-    # deployment with heavy codec/model state passes the CLASS + concurrency
-    ds = ds.map_batches(ImageFetchStage(web_cfg), batch_format="pyarrow",
-                        batch_size=cfg.engine.decode_batch_size)
+    log = pads.dataset(crawl_log_dir, format="parquet")
+    ids = [] if not log.files else pc.unique(explode_image_ids(
+        log.to_table(columns=["image_ids"]))["image_id"]).sort().to_pylist()
+    if not ids:
+        return {"n_images": 0, "decode_ok_rate": 1.0, "caption_ok_rate": 1.0,
+                "min_lossy_psnr_db": float("inf"), "max_phash_dist": 0}
+    bs = cfg.engine.decode_batch_size
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    parts = min(128, max(8, ncpu * 2), -(-len(ids) // bs))
+    bounds = [i * len(ids) // parts for i in range(parts + 1)]
+    refs = [_fetch_part.remote(web_cfg, ids[lo:hi], bs)
+            for lo, hi in zip(bounds, bounds[1:])]
     # the image+caption table goes through the storage seam (Lance per the
-    # north rule when available; parquet in this sandbox — ops/io.py)
-    from ..ops.io import read_dataset, write_dataset
-    write_dataset(ds, out_dir)
+    # north rule when available; parquet otherwise — ops/io.py)
+    write_dataset(ray.data.from_arrow_refs(refs), out_dir)
 
     check = read_dataset(
         out_dir, columns=["fmt", "psnr_db", "caption_ok", "phash_dist", "decode_ok"])
@@ -132,8 +126,8 @@ def run_image_pipeline(crawl_log_dir: str, out_dir: str, web_cfg: WebConfig,
     lossy = df[df["fmt"] != "png"]
     return {
         "n_images": len(df),
-        "decode_ok_rate": float(df["decode_ok"].mean()) if len(df) else 1.0,
-        "caption_ok_rate": float(df["caption_ok"].mean()) if len(df) else 1.0,
+        "decode_ok_rate": float(df["decode_ok"].mean()),
+        "caption_ok_rate": float(df["caption_ok"].mean()),
         "min_lossy_psnr_db": float(lossy["psnr_db"].min()) if len(lossy) else float("inf"),
-        "max_phash_dist": int(df["phash_dist"].max()) if len(df) else 0,
+        "max_phash_dist": int(df["phash_dist"].max()),
     }

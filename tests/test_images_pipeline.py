@@ -150,26 +150,109 @@ def test_image_augment_exact(ray_session, crawl_out, tmp_path):
     assert len(got) == n
 
 
+def _write_log(log_dir, parts: dict) -> str:
+    """A crawl_log of hand-picked ``image_ids`` lists: one parquet file per
+    ``{"epoch=N/part.parquet": [[ids of a page], ...]}`` entry."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    for rel, pages in parts.items():
+        os.makedirs(os.path.dirname(f"{log_dir}/{rel}"), exist_ok=True)
+        pq.write_table(pa.table({"image_ids": pa.array(pages, pa.list_(pa.string()))}),
+                       f"{log_dir}/{rel}")
+    return str(log_dir)
+
+
+def _assert_exact_table(out: str, log_dir: str):
+    """The stored ids are exactly the log's distinct ids; every row decodes,
+    and every lossy row is within 40 dB."""
+    import pyarrow.dataset as pads
+    log = pads.dataset(log_dir, format="parquet").to_table(columns=["image_ids"])
+    want = sorted({i for ids in log["image_ids"].to_pylist() for i in ids or []})
+    t = pads.dataset(out, format="parquet").to_table()
+    assert sorted(t["image_id"].to_pylist()) == want
+    assert t["decode_ok"].to_pylist() == [True] * t.num_rows
+    assert all(p >= 40.0 for p, f in zip(t["psnr_db"].to_pylist(),
+                                         t["fmt"].to_pylist()) if f != "png")
+    return t
+
+
+def test_small_decode_batches_use_several_parts(ray_session, crawl_out, tmp_path):
+    import glob
+
+    from crusty_ray.pipelines.images import run_image_pipeline
+    cfg = _tc()
+    cfg.engine.decode_batch_size = 4
+    out = str(tmp_path / "parts")
+    summary = run_image_pipeline(f"{crawl_out}/crawl_log", out, WEB_CFG, cfg)
+    t = _assert_exact_table(out, f"{crawl_out}/crawl_log")
+    assert summary["n_images"] == t.num_rows > 8
+    assert len(glob.glob(f"{out}/*.parquet")) > 1
+
+
+def test_image_shared_across_log_files_is_stored_once(ray_session, tmp_path):
+    from crusty_ray.pipelines.images import run_image_pipeline
+    log = _write_log(tmp_path / "log", {
+        "epoch=0/a.parquet": [["im1_0_0", "im2_0_0"], None, []],
+        "epoch=1/b.parquet": [["im2_0_0"], ["im3_0_0", "im1_0_0"]],
+    })
+    out = str(tmp_path / "img")
+    summary = run_image_pipeline(log, out, WEB_CFG, _tc())
+    t = _assert_exact_table(out, log)
+    assert t["image_id"].to_pylist().count("im2_0_0") == 1
+    assert summary["n_images"] == 3
+
+
 def test_wide_binary_rows_small_batches(ray_session, tmp_path):
     """SURVEY §7.4.5: large image payloads with small decode batches — the
     pipeline streams wide binary rows without blowing up block sizes."""
-    import pyarrow.dataset as pads
-    import ray
-    from crusty_ray.datagen.webgraph import WebConfig
-    from crusty_ray.pipelines.images import ImageFetchStage
+    from crusty_ray.pipelines.images import run_image_pipeline
 
     big_cfg = WebConfig(n_domains=4, img_min=256, img_max=384)  # ~0.2-0.4 MB rows
-    ids = [f"im{i}_0_0" for i in range(24)]
-    ds = ray.data.from_items([{"image_id": i} for i in ids])
-    ds = ds.map_batches(ImageFetchStage(big_cfg), batch_format="pyarrow",
-                        batch_size=4)  # small batches for wide rows
+    log = _write_log(tmp_path / "log", {
+        "epoch=0/a.parquet": [[f"im{i}_0_0" for i in range(24)]]})
+    cfg = _tc()
+    cfg.engine.decode_batch_size = 4  # small batches for wide rows
     out = str(tmp_path / "wide")
-    ds.write_parquet(out)
-    t = pads.dataset(out, format="parquet").to_table()
-    assert t.num_rows == 24
-    assert t["decode_ok"].to_pylist() == [True] * 24
+    summary = run_image_pipeline(log, out, big_cfg, cfg)
+    t = _assert_exact_table(out, log)
+    assert summary["n_images"] == t.num_rows == 24
     sizes = [len(b) for b in t["bytes"].to_pylist()]
     assert min(sizes) > 50_000  # genuinely wide rows
-    lossy = [p for p, f in zip(t["psnr_db"].to_pylist(), t["fmt"].to_pylist())
-             if f != "png"]
-    assert all(p >= 40.0 for p in lossy)
+
+
+@pytest.mark.parametrize("pages", [[[], None, []], None],
+                         ids=["no_image_ids", "no_log_files"])
+def test_log_without_images_gives_zero_summary(ray_session, tmp_path, pages):
+    from crusty_ray.pipelines.images import run_image_pipeline
+    log = tmp_path / "log"
+    if pages is None:
+        (log / "epoch=0").mkdir(parents=True)
+    else:
+        _write_log(log, {"epoch=0/a.parquet": pages})
+    assert run_image_pipeline(str(log), str(tmp_path / "img"), WEB_CFG, _tc()) == {
+        "n_images": 0, "decode_ok_rate": 1.0, "caption_ok_rate": 1.0,
+        "min_lossy_psnr_db": float("inf"), "max_phash_dist": 0}
+
+
+def test_corrupt_payload_is_a_decode_failure(monkeypatch):
+    import pyarrow as pa
+
+    import crusty_ray.pipelines.images as images
+    monkeypatch.setattr(images, "encode_image", lambda px, fmt: b"\x00corrupt")
+    t = images.ImageFetchStage(WEB_CFG)(pa.table({"image_id": ["im1_0_0", "im2_0_0"]}))
+    assert t["decode_ok"].to_pylist() == [False, False]
+    assert t["phash_dist"].to_pylist() == [64, 64]
+
+
+def test_decode_bug_propagates(monkeypatch):
+    import pyarrow as pa
+
+    import crusty_ray.pipelines.images as images
+
+    def broken(data, fmt):
+        raise TypeError("a bug, not a bad payload")
+    monkeypatch.setattr(images, "decode_image", broken)
+    with pytest.raises(TypeError):
+        images.ImageFetchStage(WEB_CFG)(pa.table({"image_id": ["im1_0_0"]}))

@@ -43,8 +43,10 @@ def bench_crawl(num_cpus: int, mode: str | None = None,
     # "streaming" benches the free-running permit mode (bounded in-flight
     # window) instead of the deterministic BSP loop
     cfg.engine.mode = mode or os.environ.get("GRAFT_CRAWL_MODE", "bsp")
-    cfg.jobs.shard_total = 32
-    cfg.jobs.shard_max = 32
+    # one shard actor per CPU, up to 32: more actors than cores only add
+    # per-actor start-up and per-round call overhead
+    cfg.jobs.shard_total = min(32, num_cpus)
+    cfg.jobs.shard_max = cfg.jobs.shard_total
     cfg.jobs.dequeue_limit = 8000
     cfg.rules.total_link_budget = 30
     cfg.rules.links_per_task_budget = 12

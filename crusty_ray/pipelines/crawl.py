@@ -5,8 +5,9 @@ Replaces the reference's dataflow graph of ~20 tokio tasks + redis + ClickHouse
 reference's 1 s dequeue permits, ``crusty.rs:216-230``), each of which is:
 
 1. **take_ready_refs** on every scoped frontier shard actor → the permit's
-   fetch tasks as actor-local Arrow blocks (politeness + priority + budgets
-   enforced inside the shard, SURVEY §3.4);
+   fetch tasks as actor-local blocks of plain Python columns (politeness +
+   priority + budgets enforced inside the shard, SURVEY §3.4); the stage
+   builds its Arrow task table from them (``task_table``);
 2. one fused ``EpochStage`` (fetch → discover → route → log projection) over
    those blocks. It writes each call's absorb rows shard-grouped to scratch
    storage and its crawl-log part to ``crawl_log/epoch=N``, both under
@@ -15,10 +16,11 @@ reference's 1 s dequeue permits, ``crusty.rs:216-230``), each of which is:
    dominate); at or above it, as one plain Ray task per bundle of
    consecutive blocks (``flatten_shard_refs``), the blocks passed as ref
    arguments. Only where it runs differs;
-3. the barrier (``_barrier``): every shard reads its absorb partition and
-   runs ``end_epoch`` (deterministic expansion + finishes), writing its
-   cross-shard enqueue messages and top-k counts to the storage exchange
-   (``write_groups``/``read_group``); then every shard reads its exchange
+3. the barrier (``_barrier``): every shard reads its absorb partition
+   (Arrow IPC, ``write_groups``/``read_group``) and runs ``end_epoch``
+   (deterministic expansion + finishes), writing its cross-shard enqueue
+   messages and top-k counts to the storage exchange as plain Python values
+   (``write_parts``/``read_parts``); then every shard reads its exchange
    partition, updates the top-k buckets it owns and applies its enqueues —
    fused with the next permit's dequeue when that permit waits for this
    completion's window slot. Shards meet only at storage (reference:
@@ -70,27 +72,59 @@ LOG_COLUMNS = [
 def task_block_rows(cfg: Config) -> int:
     """Rows per task block (``take_ready_refs``), which also caps the rows
     of one Ray task's bundle (``flatten_shard_refs``): one EpochStage call
-    per bundle writes one crawl-log part per bundle. Half-block calls
-    doubled the log's files (links_deep: 42 vs 21) and slowed its readers
-    (the image stage: 3.2 vs 2.4 s on 4 vCPUs)."""
+    per bundle writes one crawl-log part per bundle, so smaller blocks mean
+    more, smaller log and absorb files (half-size blocks doubled
+    links_deep's log files, 42 vs 21) and more stage tasks per epoch."""
     return max(256, cfg.engine.fetch_batch_size * 2)
 
 
+# the stage's task table; a task block carries these columns as plain lists
+TASK_SCHEMA = pa.schema([("url", pa.string()), ("domain", pa.string()),
+                         ("depth", pa.int32()), ("shard", pa.int32()),
+                         ("local_seq", pa.int64())])
+
+
+def task_blocks(tasks: list[dict], cfg: Config) -> list[dict]:
+    """A shard's take-ready list as task blocks of at most
+    ``task_block_rows`` tasks, each a dict of plain lists keyed by
+    ``TASK_SCHEMA``'s names; ``local_seq`` numbers the list.
+
+    Plain lists, never Arrow tables: Ray's reducer for a ``pa.Table``
+    imports ``ray.air`` (and with it ``ray.data`` and pandas), ~0.5 s and
+    ~50 MB in every fresh process that first puts or gets one, which every
+    shard actor paid on its first dequeue."""
+    step = task_block_rows(cfg)
+    blocks = []
+    for i in range(0, len(tasks), step):
+        part = tasks[i:i + step]
+        block = {k: [x[k] for x in part]
+                 for k in ("url", "domain", "depth", "shard")}
+        block["local_seq"] = list(range(i, i + len(part)))
+        blocks.append(block)
+    return blocks
+
+
+def task_table(blocks) -> pa.Table:
+    """One bundle's task blocks, in order, as the stage's task table."""
+    return pa.table({name: [v for b in blocks for v in b[name]]
+                     for name in TASK_SCHEMA.names}, schema=TASK_SCHEMA)
+
+
 SHARDS_PER_GROUP = 8  # exchange-file granularity: fewer files per writer;
-                      # readers prune by the shard column
+                      # readers take their own shard's part
 
 
-def write_groups(t: pa.Table, column: str, root: str, name: str) -> None:
-    """The storage exchange's one writer: ``t``'s rows grouped by the shard
-    group of ``column`` (their owner shard), one ``root/group=G/name`` file
-    per group, rows in ``t``'s order. Transient exchange files are Arrow IPC
-    + lz4, not parquet: written once, read once at the barrier, deleted —
-    IPC writes 3× faster and reads ~2× faster than parquet for these
-    string/list-heavy rows (measured; barrier time is
+def write_groups(t: pa.Table, root: str, name: str) -> None:
+    """The absorb exchange's writer (stage → shards): ``t``'s rows grouped
+    by the shard group of their ``shard`` column, one ``root/group=G/name``
+    file per group, rows in ``t``'s order. Transient exchange files are
+    Arrow IPC + lz4, not parquet: written once, read once at the barrier,
+    deleted — IPC writes 3× faster and reads ~2× faster than parquet for
+    these string/list-heavy rows (measured; barrier time is
     parallelism-independent, so it gates scaling efficiency)."""
     import pyarrow.compute as pc
     import pyarrow.feather as pf
-    groups = pc.divide(t[column], SHARDS_PER_GROUP)
+    groups = pc.divide(t["shard"], SHARDS_PER_GROUP)
     for g in pc.unique(groups).to_pylist():
         d = f"{root}/group={g}"
         os.makedirs(d, exist_ok=True)
@@ -98,21 +132,62 @@ def write_groups(t: pa.Table, column: str, root: str, name: str) -> None:
                          compression="lz4")
 
 
-def read_group(root: str, column: str, shard: int) -> pa.Table | None:
-    """``shard``'s rows (``column`` == shard) of its group dir's files in
-    sorted-name order (engine ≡ simulator relies on it), or None."""
-    import pyarrow.compute as pc
-    import pyarrow.feather as pf
+def _group_files(root: str, shard: int) -> list[str]:
+    """The files of ``shard``'s group dir in sorted-name order (engine ≡
+    simulator relies on it); none if the dir does not exist."""
     d = f"{root}/group={shard // SHARDS_PER_GROUP}"
     if not os.path.isdir(d):
-        return None
+        return []
+    return [f"{d}/{n}" for n in sorted(os.listdir(d))]
+
+
+def read_group(root: str, shard: int) -> pa.Table | None:
+    """``shard``'s rows of its group's absorb files, or None.
+
+    Runs in the shard actors, which convert no Python value to Arrow: any
+    such conversion (``pa.array``, ``pa.scalar``, a Python int given to a
+    compute function) makes pyarrow import pandas, ~0.2 s in a fresh
+    process. So the int32 key is built from its bytes."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.feather as pf
+    key = pa.Array.from_buffers(
+        pa.int32(), 1, [None, pa.py_buffer(np.int32(shard).tobytes())])[0]
     parts = []
-    for name in sorted(os.listdir(d)):
-        t = pf.read_table(f"{d}/{name}", memory_map=True)
-        sel = t.filter(pc.equal(t[column], shard))
+    for path in _group_files(root, shard):
+        t = pf.read_table(path, memory_map=True)
+        sel = t.filter(pc.equal(t["shard"], key))
         if sel.num_rows:
             parts.append(sel)
     return pa.concat_tables(parts) if parts else None
+
+
+def write_parts(parts: dict[int, object], root: str, name: str) -> None:
+    """The shard-to-shard exchange's writer: ``parts`` maps an owner shard
+    to its payload of plain Python values; one pickled ``root/group=G/name``
+    file per shard group holds that group's payloads. Not Arrow: both ends
+    hold Python lists, and the shard actors convert nothing to Arrow (see
+    ``read_group``)."""
+    by_group: dict[int, dict] = {}
+    for shard, payload in parts.items():
+        by_group.setdefault(shard // SHARDS_PER_GROUP, {})[shard] = payload
+    for g, payloads in by_group.items():
+        d = f"{root}/group={g}"
+        os.makedirs(d, exist_ok=True)
+        with open(f"{d}/{name}", "wb") as f:
+            pickle.dump(payloads, f, protocol=5)
+
+
+def read_parts(root: str, shard: int) -> list:
+    """``shard``'s payloads from its group's exchange files, in file
+    order."""
+    out = []
+    for path in _group_files(root, shard):
+        with open(path, "rb") as f:
+            payload = pickle.load(f).get(shard)
+        if payload is not None:
+            out.append(payload)
+    return out
 
 
 @ray.remote
@@ -138,31 +213,19 @@ class FrontierShardActor:
     def take_ready_refs(self, epoch: int) -> list[tuple]:
         """Epoch task blocks as actor-LOCAL ObjectRefs + row counts.
 
-        The task table is built here, in parallel across the actors, not
-        serially on the driver. The blocks are born in this shard's node's
-        object store, so on a multi-node cluster the stage tasks that take
-        them as ref arguments schedule next to their input instead of
-        pulling every block from the head node — and the driver never
-        materializes the O(epoch-tasks) table unless it runs the stage
-        in-process. Rows carry ``local_seq``; the fused stage turns that
-        into the global (epoch, seq) ordering via the per-shard offsets the
-        driver computes from the counts."""
-        tasks = self.state.take_ready(epoch)
-        t = pa.table({
-            "url": [x["url"] for x in tasks],
-            "domain": [x["domain"] for x in tasks],
-            "depth": pa.array([x["depth"] for x in tasks], pa.int32()),
-            "shard": pa.array([x["shard"] for x in tasks], pa.int32()),
-            "local_seq": pa.array(range(len(tasks)), pa.int64()),
-        })
-        step = task_block_rows(self.state.cfg)
-        out = []
-        for i in range(0, t.num_rows, step):
-            # combine_chunks: a pickled slice would serialize the whole
-            # parent buffers; combining copies exactly the slice
-            sub = t.slice(i, step).combine_chunks()
-            out.append((ray.put(sub), sub.num_rows))
-        return out
+        The blocks are put here, in parallel across the actors, not
+        serially on the driver. They are born in this shard's node's object
+        store, so on a multi-node cluster the stage tasks that take them as
+        ref arguments schedule next to their input instead of pulling every
+        block from the head node — and the driver never materializes the
+        O(epoch-tasks) table unless it runs the stage in-process. Blocks
+        are plain Python columns (``task_blocks`` says why not Arrow). Rows
+        carry ``local_seq``; the fused stage turns that into the global
+        (epoch, seq) ordering via the per-shard offsets the driver computes
+        from the counts."""
+        return [(ray.put(b), len(b["url"]))
+                for b in task_blocks(self.state.take_ready(epoch),
+                                     self.state.cfg)]
 
     def finish_epoch(self, epoch: int, absorb_dir: str,
                      exchange_dir: str) -> dict:
@@ -175,7 +238,7 @@ class FrontierShardActor:
         semantics: nodes only meet at the shard store, crusty.rs:550-560).
         The driver never touches the O(discovered-domains) message volume;
         it gets job metrics, gauges and the outgoing message count."""
-        t = read_group(absorb_dir, "shard", self.state.shard)
+        t = read_group(absorb_dir, self.state.shard)
         if t is not None:
             self.state.absorb_table(t)
         out = self.state.end_epoch(epoch)
@@ -191,73 +254,42 @@ class FrontierShardActor:
             for d in linked:
                 counts[d] += 1
         # one file per (group, source shard): a replay overwrites its own
-        name = f"from-{self.state.shard:05d}.arrow"
+        name = f"from-{self.state.shard:05d}.pkl"
         self._write_topk_exchange(counts, exchange_dir, name)
+        # outgoing discovery messages: target shard → columnar messages
         outgoing = out.pop("outgoing")
         out["n_outgoing"] = sum(len(m["domain"]) for m in outgoing.values())
-        self._write_exchange(outgoing, exchange_dir, name)
+        write_parts(outgoing, exchange_dir, name)
         return out
 
     def _write_topk_exchange(self, counts, exchange_dir: str,
                              name: str) -> None:
-        """(owner, bucket, domain, cnt) rows grouped by owner shard."""
+        """(bucket, domain, cnt) rows by the bucket's owner shard."""
         from .topk import bucket_owner
         n_shards = self.state.cfg.jobs.shard_total
-        owner, bucket, domain, cnt = [], [], [], []
+        rows: dict[int, list] = {}
         for dom, n in counts.items():
             for b in (dom.rpartition(".")[2], ""):
-                owner.append(bucket_owner(b, n_shards))
-                bucket.append(b)
-                domain.append(dom)
-                cnt.append(n)
-        write_groups(pa.table({
-            "owner": pa.array(owner, pa.int32()),
-            "bucket": pa.array(bucket, pa.string()),
-            "domain": pa.array(domain, pa.string()),
-            "cnt": pa.array(cnt, pa.int64()),
-        }), "owner", f"{exchange_dir}/topk", name)
+                rows.setdefault(bucket_owner(b, n_shards), []).append(
+                    (b, dom, n))
+        write_parts(rows, f"{exchange_dir}/topk", name)
 
     def _read_topk_exchange(self, exchange_dir: str) -> dict:
         """This shard's owned-bucket counts, int-merged across source
         shards (exactly the central merge — integer addition commutes)."""
-        t = read_group(f"{exchange_dir}/topk", "owner", self.state.shard)
-        if t is None:
-            return {}
         merged: dict[str, dict[str, int]] = {}
-        for bucket, dom, cnt in zip(t["bucket"].to_pylist(),
-                                    t["domain"].to_pylist(),
-                                    t["cnt"].to_pylist()):
-            b = merged.setdefault(bucket, {})
-            b[dom] = b.get(dom, 0) + cnt
+        for rows in read_parts(f"{exchange_dir}/topk", self.state.shard):
+            for bucket, dom, cnt in rows:
+                b = merged.setdefault(bucket, {})
+                b[dom] = b.get(dom, 0) + cnt
         return merged
-
-    def _write_exchange(self, outgoing: dict[int, dict], exchange_dir: str,
-                        name: str) -> None:
-        """Outgoing discovery messages grouped by target shard."""
-        cols = {"tgt_shard": [], "domain": [], "addr_key": [],
-                "disc_depth": [], "disc_epoch": []}
-        for tgt, msgs in outgoing.items():
-            cols["tgt_shard"].extend([tgt] * len(msgs["domain"]))
-            for k in ("domain", "addr_key", "disc_depth", "disc_epoch"):
-                cols[k].extend(msgs[k])
-        write_groups(pa.table({
-            "tgt_shard": pa.array(cols["tgt_shard"], pa.int32()),
-            "domain": pa.array(cols["domain"], pa.string()),
-            "addr_key": pa.array(cols["addr_key"], pa.string()),
-            "disc_depth": pa.array(cols["disc_depth"], pa.int32()),
-            "disc_epoch": pa.array(cols["disc_epoch"], pa.int32()),
-        }), "tgt_shard", exchange_dir, name)
 
     def _read_exchange(self, exchange_dir: str) -> None:
         """Enqueue this shard's incoming messages from the exchange files."""
-        t = read_group(exchange_dir, "tgt_shard", self.state.shard)
-        if t is not None:
-            self.state.enqueue({
-                "domain": t["domain"].to_pylist(),
-                "addr_key": t["addr_key"].to_pylist(),
-                "disc_depth": t["disc_depth"].to_pylist(),
-                "disc_epoch": t["disc_epoch"].to_pylist(),
-            })
+        parts = read_parts(exchange_dir, self.state.shard)
+        if parts:
+            self.state.enqueue({k: [v for p in parts for v in p[k]]
+                                for k in parts[0]})
 
     def deliver(self, epoch: int, exchange_dir: str,
                 next_epoch: int | None = None) -> tuple | None:
@@ -344,7 +376,7 @@ class EpochStage:
     ABSORB_COLUMNS = ["url", "domain", "depth", "shard", "sched_links",
                       "cand_domains", "cand_addr_keys", "cand_shards"]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> tuple[int, int]:
         """One stage task holds one logical CPU: cap pyarrow's process-wide
         pools (they would silently use every host core, skewing scaling
         measurements and oversubscribing shared nodes) for this call only,
@@ -358,8 +390,8 @@ class EpochStage:
             pa.set_cpu_count(cpu)
             pa.set_io_thread_count(io)
 
-    def process(self, batch: pa.Table) -> pa.Table:
-        """Run one batch; returns its one-row (rows, bytes) summary."""
+    def process(self, batch: pa.Table) -> tuple[int, int]:
+        """Run one batch; returns its (rows, bytes) summary."""
         import numpy as np
         import pyarrow.compute as pc
         if self.seq_offsets is not None:
@@ -372,9 +404,7 @@ class EpochStage:
                                           dtype=np.int32), pa.int32()))
             batch = batch.append_column("seq", pa.array(seq, pa.int64()))
         out = self.discover(self.fetch(batch))
-        nbytes = int(pc.sum(out["read_size_b"]).as_py() or 0)
-        summary = pa.table({"rows": pa.array([out.num_rows], pa.int64()),
-                            "bytes": pa.array([nbytes], pa.int64())})
+        summary = (out.num_rows, int(pc.sum(out["read_size_b"]).as_py() or 0))
         if out.num_rows == 0:
             return summary  # nothing fetched → no absorb or log file
         # deterministic per-batch name: seq values partition the epoch's task
@@ -384,7 +414,7 @@ class EpochStage:
         blob = f"e{batch['epoch'][0].as_py()}-s{pc.min(batch['seq']).as_py()}"
         # sorted by shard for reader locality
         write_groups(out.select(self.ABSORB_COLUMNS).sort_by("shard"),
-                     "shard", self.absorb_dir, f"part-{blob}.arrow")
+                     self.absorb_dir, f"part-{blob}.arrow")
         os.makedirs(self.log_dir, exist_ok=True)
         pq.write_table(log_projection(out),
                        f"{self.log_dir}/part-{blob}.parquet")
@@ -392,10 +422,10 @@ class EpochStage:
 
 
 @ray.remote
-def _run_bundle(stage: EpochStage, *blocks: pa.Table) -> pa.Table:
+def _run_bundle(stage: EpochStage, *blocks: dict) -> tuple[int, int]:
     """One stage task over one bundle of task blocks (ref arguments, so the
     scheduler places the task near its input)."""
-    return stage(pa.concat_tables(blocks))
+    return stage(task_table(blocks))
 
 
 def flatten_shard_refs(shard_refs: list[list], cfg: Config):
@@ -748,13 +778,12 @@ class CrawlEngine:
                            seq_offsets=entry["off_arr"])
         if n_tasks < cfg.engine.min_epoch_rows_for_ray:
             # process(), not stage(): the pool cap is for Ray workers only
-            summary = stage.process(pa.concat_tables(
+            rows, nbytes = stage.process(task_table(
                 ray.get([r for b in entry["bundles"] for r in b])))
             self.spool.add("stage_gauges", [{
                 "epoch": permit,
                 "t_s": round(time.time() - entry["t_launch"], 3),
-                "rows": summary["rows"][0].as_py(),
-                "bytes": summary["bytes"][0].as_py(), "batches": 1}])
+                "rows": rows, "bytes": nbytes, "batches": 1}])
             return
         stage_ref = ray.put(stage)
         entry["refs"] = [_run_bundle.remote(stage_ref, *b)
@@ -781,9 +810,9 @@ class CrawlEngine:
                 ready, pending = ray.wait(
                     pending, num_returns=len(pending),
                     timeout=self.cfg.engine.gauge_interval_s)
-                for summary in ray.get(ready):
-                    rows += summary["rows"][0].as_py()
-                    nbytes += summary["bytes"][0].as_py()
+                for r, b in ray.get(ready):
+                    rows += r
+                    nbytes += b
                 self.spool.add("stage_gauges", [{
                     "epoch": entry["permit"],
                     "t_s": round(time.time() - entry["t_submit"], 3),

@@ -210,6 +210,104 @@ def test_flatten_shard_refs_bundles():
     assert flatten_shard_refs([[], []], cfg)[1] == []
 
 
+def test_task_blocks_round_trip(ray_session):
+    """A take-ready list of 2.5 blocks' worth of tasks is three plain-column
+    blocks; through a stage task (``_run_bundle``) and through the
+    in-process path, the task table has the exact schema and a continuous
+    ``local_seq``. An empty list gives no block."""
+    import pyarrow as pa
+    import ray
+    from crusty_ray.pipelines.crawl import (TASK_SCHEMA, _run_bundle,
+                                            flatten_shard_refs, task_blocks,
+                                            task_block_rows, task_table)
+    cfg = small_cfg(**{"jobs.shard_total": 1, "jobs.shard_max": 1})
+    cap = task_block_rows(cfg)
+    n = cap * 5 // 2
+    tasks = [{"url": f"http://d{i % 7}.com/p{i}", "domain": f"d{i % 7}.com",
+              "depth": i % 3, "shard": 0} for i in range(n)]
+    blocks = task_blocks(tasks, cfg)
+    assert [len(b["url"]) for b in blocks] == [cap, cap, n - 2 * cap]
+    assert all(type(b) is dict and list(b) == TASK_SCHEMA.names
+               for b in blocks)
+    assert task_blocks([], cfg) == []
+
+    refs = [(ray.put(b), len(b["url"])) for b in blocks]
+    _, bundles = flatten_shard_refs([refs], cfg)
+    assert len(bundles) == 3
+
+    def stage(table):  # a stand-in EpochStage, shipped by value
+        return table.schema, table.column("local_seq").to_pylist()
+    outs = ray.get([_run_bundle.remote(stage, *b) for b in bundles])
+    assert all(schema.equals(TASK_SCHEMA) for schema, _ in outs)
+    assert [s for _, seq in outs for s in seq] == list(range(n))
+
+    t = task_table(ray.get([r for b in bundles for r in b]))
+    assert t.schema.equals(TASK_SCHEMA)
+    assert t.column("local_seq").to_pylist() == list(range(n))
+    assert t.column("url").to_pylist() == [x["url"] for x in tasks]
+    assert t.column("depth").type == pa.int32()
+
+
+# Runs in its own process and Ray session: an actor may be placed on a
+# pooled worker that earlier tasks of this session already filled with
+# ray.data and pandas.
+_ACTOR_MODULES_SCRIPT = r"""
+import json, os, sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from crusty_ray.config import test_config
+from crusty_ray.datagen.webgraph import WebConfig
+from crusty_ray.pipelines.crawl import CrawlEngine
+
+HEAVY = ("ray.air", "ray.data", "pandas")
+
+def heavy_modules(actor):
+    return actor.__ray_call__.remote(
+        lambda self: sorted(m for m in HEAVY if m in sys.modules))
+
+web = WebConfig(n_domains=40, max_pages_per_domain=8)
+out = {}
+for mode, min_rows in (("bsp", 0), ("streaming", 2048)):
+    cfg = test_config()
+    cfg.engine.mode = mode
+    cfg.engine.max_epochs = 12
+    cfg.engine.min_epoch_rows_for_ray = min_rows
+    eng = CrawlEngine(cfg, web, os.path.join(sys.argv[1], mode)).run()
+    out[mode] = {"pages": eng.pages_fetched_total,
+                 "modules": ray.get([heavy_modules(a) for a in eng.actors])}
+eng = CrawlEngine(test_config(), web, os.path.join(sys.argv[1], "blocks"))
+eng._seed()
+refs = [r for a in eng.actors for r, _ in ray.get(a.take_ready_refs.remote(0))]
+out["block_types"] = [type(b).__name__ for b in ray.get(refs)]
+ray.shutdown()
+print(json.dumps(out))
+"""
+
+
+def test_shard_actors_import_no_ray_data(tmp_path):
+    """No Arrow table crosses a Ray call in the crawl loop: after a BSP
+    crawl (stage tasks on Ray) and a streaming crawl (in-process stage),
+    no shard actor has imported ray.air, ray.data or pandas, and a
+    take_ready_refs block is a plain dict. Ray's pa.Table reducer imports
+    all three in every fresh process that puts or gets a table."""
+    import json
+    import os
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ACTOR_MODULES_SCRIPT, str(tmp_path)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    for mode in ("bsp", "streaming"):
+        assert out[mode]["pages"] > 0
+        assert out[mode]["modules"] == [[]] * len(out[mode]["modules"])
+    assert out["block_types"] and set(out["block_types"]) == {"dict"}
+
+
 class TestAbsorbRetryIdempotent:
     def test_epoch_stage_retry_overwrites(self, tmp_path):
         """A Ray task retry re-executes EpochStage on the same batch; the
@@ -250,7 +348,7 @@ class TestAbsorbRetryIdempotent:
         out2 = stage(batch)  # the "retry"
         files2 = snapshot()
         assert files1 == files2  # same names, same sizes — overwritten
-        assert out1.equals(out2)  # deterministic (rows, bytes) summary
+        assert out1 == out2  # deterministic (rows, bytes) summary
         assert os.listdir(log_dir) == ["part-e3-s0.parquet"]
         assert pq.read_table(os.path.join(log_dir, "part-e3-s0.parquet")
                              ).num_rows == n
@@ -295,8 +393,8 @@ class TestStageReplay:
 
         @ray.remote
         def run_bundle(stage, *blocks):
-            import pyarrow as pa
-            out = stage(pa.concat_tables(blocks))
+            from crusty_ray.pipelines.crawl import task_table
+            out = stage(task_table(blocks))
             if stage.epoch == 2:
                 try:  # exactly one task, across worker processes, fails
                     os.close(os.open(flag, os.O_CREAT | os.O_EXCL))

@@ -246,12 +246,12 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
 def _bundle_task(body):
     """A stand-in for ``crawl._run_bundle`` whose worker-side body is
     ``body(stage, table)``; defined locally, so it ships by value."""
-    import pyarrow as pa
     import ray
+    from crusty_ray.pipelines.crawl import task_table
 
     @ray.remote
     def run_bundle(stage, *blocks):
-        return body(stage, pa.concat_tables(blocks))
+        return body(stage, task_table(blocks))
     return run_bundle
 
 

@@ -65,7 +65,6 @@ def bench_crawl(num_cpus: int, mode: str | None = None,
     if os.path.isdir("/dev/shm"):
         cfg.engine.scratch_dir = "/dev/shm"
     cfg.engine.checkpoint_every_epochs = 10
-    cfg.engine.min_epoch_rows_for_ray = 256
     cfg.engine.max_epochs = 6       # steady-state throughput, not the long tail
     n_domains = 60_000
     # realistic page weight: 15-40 links/page makes parse+resolve the dominant

@@ -94,10 +94,6 @@ class EngineConfig:
     seen_bloom_capacity: int = 1 << 20   # per-shard bloom pre-filter
     seen_bloom_fpp: float = 0.001
     cuckoo_capacity: int = 1 << 20       # per-shard authoritative seen set
-    min_epoch_rows_for_ray: int = 2048   # below this, run the EpochStage in-process on
-                                         # the driver; at or above, one Ray task per
-                                         # bundle of task blocks (launch overhead
-                                         # would dominate small epochs)
     gauge_interval_s: float = 1.0     # sub-epoch stage-gauge cadence (A5)
     scratch_dir: Optional[str] = None  # transient absorb/exchange file root.
                                       # None → under out_dir (CORRECT for
@@ -243,7 +239,9 @@ def test_config(**overrides) -> Config:
         obj = cfg
         *parts, last = k.split(".")
         for p in parts:
-            obj = getattr(obj, p)
+            obj = getattr(obj, p, None)
+        if not dataclasses.is_dataclass(obj) or not hasattr(obj, last):
+            raise KeyError(f"unknown config key: {k}")
         setattr(obj, last, v)
     return cfg
 

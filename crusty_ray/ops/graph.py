@@ -1255,9 +1255,12 @@ def label_propagation(edges, seeds, id_col: str, label_col: str,
             return pd.DataFrame({"__nb": df[id_col].astype("int64"),
                                  "__lab": df[label_col].astype("int64")})
 
+        # materialized: hash_join's schema probe of a lazy input runs one
+        # block and Ray Data cancels the tasks still in flight, a race Ray
+        # 2.49's core can lose with a driver abort
         votes = hash_join(melted,
-                          labels.map_batches(nb_side,
-                                             batch_format="pandas"),
+                          labels.map_batches(nb_side, batch_format="pandas")
+                          .materialize(),
                           on=["__nb"], num_partitions=num_partitions)
 
         def vote_rows(df: pd.DataFrame) -> pd.DataFrame:

@@ -8,14 +8,14 @@ reference's 1 s dequeue permits, ``crusty.rs:216-230``), each of which is:
    fetch tasks as actor-local blocks of plain Python columns (politeness +
    priority + budgets enforced inside the shard, SURVEY §3.4); the stage
    builds its Arrow task table from them (``task_table``);
-2. one fused ``EpochStage`` (fetch → discover → route → log projection) over
-   those blocks. It writes each call's absorb rows shard-grouped to scratch
-   storage and its crawl-log part to ``crawl_log/epoch=N``, both under
-   retry-deterministic names. Below ``engine.min_epoch_rows_for_ray`` tasks
-   the stage runs in-process on the driver (task-launch overhead would
-   dominate); at or above it, as one plain Ray task per bundle of
+2. the crawl's one fused ``EpochStage`` (fetch → discover → route → log
+   projection) over those blocks, as one plain Ray task per bundle of
    consecutive blocks (``flatten_shard_refs``), the blocks passed as ref
-   arguments. Only where it runs differs;
+   arguments. The engine builds the stage and puts it in the object store
+   once per crawl; each task gets the permit's epoch, seq offsets and
+   directories as arguments. It writes its absorb rows shard-grouped to
+   scratch storage and its crawl-log part to ``crawl_log/epoch=N``, both
+   under retry-deterministic names;
 3. the barrier (``_barrier``): every shard reads its absorb partition
    (Arrow IPC, ``write_groups``/``read_group``) and runs ``end_epoch``
    (deterministic expansion + finishes), writing its cross-shard enqueue
@@ -35,8 +35,9 @@ once on failure, run the barrier — strictly in permit order. ``mode: bsp``
 is a window of one: each permit is a deterministic epoch whose dequeue
 follows the previous barrier, bit-identical to the simulator. ``mode:
 streaming`` widens it to ``engine.streaming_window`` (see
-``pipelines/streaming.py``). Both stage placements and every barrier are
-conformance-tested against the simulator oracle.
+``pipelines/streaming.py``). A permit of any size runs its stage the same
+way, as the reference sends every job through the same channels. Every
+permit and barrier is conformance-tested against the simulator oracle.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class FrontierShardActor:
         store, so on a multi-node cluster the stage tasks that take them as
         ref arguments schedule next to their input instead of pulling every
         block from the head node — and the driver never materializes the
-        O(epoch-tasks) table unless it runs the stage in-process. Blocks
+        O(epoch-tasks) table. Blocks
         are plain Python columns (``task_blocks`` says why not Arrow). Rows
         carry ``local_seq``; the fused stage turns that into the global
         (epoch, seq) ordering via the per-shard offsets the driver computes
@@ -337,38 +338,31 @@ class FrontierShardActor:
 
 class EpochStage:
     """Fused fetch → discover → route → log write in ONE stage — the only
-    place an epoch's or a permit's tasks are executed.
+    place a permit's tasks are executed.
 
     Separate fetch, discover and route steps would each materialize their
     intermediate blocks through the object store; one fused stage does a
     single pass over each task block. The simulator calls the same
     component classes (``FetchStage``, ``DiscoverStage``) directly.
 
-    Routing is **shuffle-via-storage**: each batch writes its results
+    Routing is **shuffle-via-storage**: each call writes its results
     shard-grouped under ``absorb_dir/group=G/``; the owning actors read
     their partition at the epoch barrier. Direct actor RPCs convoyed every
     task behind 32 single-threaded mailboxes and pushed every sub-table
     through the plasma store (measured 28k → 14k pages/s); files make the
-    exchange parallel on both ends and double as epoch lineage. Each batch
-    also writes its own crawl-log part to ``log_dir``, so every batch having
-    returned IS the delivery barrier. Both file names derive from (epoch,
-    min seq): a rerun of the batch overwrites its own files.
+    exchange parallel on both ends and double as epoch lineage. Each call
+    also writes its own crawl-log part to ``log_dir``, so every stage task
+    having returned IS the delivery barrier. Both file names derive from
+    (epoch, min seq): a rerun of the call overwrites its own files.
 
-    The engine calls ``process`` when it runs the stage in-process on the
-    driver; its Ray tasks (``_run_bundle``) call the instance, which caps
-    the worker's pyarrow pools for the call."""
+    The stage holds only what derives from (web config, config, rules), so
+    the engine builds and puts one per crawl; the per-permit values (epoch,
+    seq offsets, directories) are call arguments."""
 
-    def __init__(self, web_cfg: WebConfig, cfg: Config, absorb_dir: str,
-                 log_dir: str, rules=None, epoch: int | None = None,
-                 seq_offsets=None):
+    def __init__(self, web_cfg: WebConfig, cfg: Config, rules=None):
         self.fetch = FetchStage(web_cfg, cfg, rules=rules)
-        self.discover = DiscoverStage(web_cfg, cfg, rules=rules)
-        self.absorb_dir = absorb_dir
-        self.log_dir = log_dir
-        # ref-fed path (take_ready_refs): blocks carry local_seq; this stage
-        # derives the global ordering columns from the per-shard offsets
-        self.epoch = epoch
-        self.seq_offsets = seq_offsets  # np.int64[shard_total]
+        self.discover = DiscoverStage(web_cfg, cfg, self.fetch.robots_rules,
+                                      rules=rules)
 
     # only what the stateful chain needs crosses the shuffle (the raw links /
     # rels stay task-local; pure filters already ran in DiscoverStage);
@@ -376,56 +370,60 @@ class EpochStage:
     ABSORB_COLUMNS = ["url", "domain", "depth", "shard", "sched_links",
                       "cand_domains", "cand_addr_keys", "cand_shards"]
 
-    def __call__(self, batch: pa.Table) -> tuple[int, int]:
-        """One stage task holds one logical CPU: cap pyarrow's process-wide
-        pools (they would silently use every host core, skewing scaling
-        measurements and oversubscribing shared nodes) for this call only,
-        so later tasks on the same worker keep the default pools."""
+    def __call__(self, batch: pa.Table, epoch: int, seq_offsets,
+                 absorb_dir: str, log_dir: str) -> tuple[int, int]:
+        """Run one task table (``TASK_SCHEMA``) of permit ``epoch``; its
+        global seq is ``seq_offsets[shard] + local_seq``
+        (``flatten_shard_refs``). Returns the (rows, bytes) summary.
+
+        One stage task holds one logical CPU: pyarrow's process-wide pools
+        (they would silently use every host core, skewing scaling
+        measurements and oversubscribing shared nodes) are capped for this
+        call only, so later tasks on the same worker keep the default
+        pools."""
+        import numpy as np
+        import pyarrow.compute as pc
         cpu, io = pa.cpu_count(), pa.io_thread_count()
         pa.set_cpu_count(1)
         pa.set_io_thread_count(2)
         try:
-            return self.process(batch)
+            shard_np = batch.column("shard").to_numpy(zero_copy_only=False)
+            seq = (seq_offsets[shard_np] + batch.column("local_seq")
+                   .to_numpy(zero_copy_only=False))
+            batch = batch.drop_columns(["local_seq"])
+            batch = batch.append_column(
+                "epoch", pa.array(np.full(len(seq), epoch, dtype=np.int32),
+                                  pa.int32()))
+            batch = batch.append_column("seq", pa.array(seq, pa.int64()))
+            out = self.discover(self.fetch(batch))
+            summary = (out.num_rows,
+                       int(pc.sum(out["read_size_b"]).as_py() or 0))
+            if out.num_rows == 0:
+                return summary  # nothing fetched → no absorb or log file
+            # deterministic per-call name: seq values partition the permit's
+            # task table, so (epoch, min seq) uniquely names this call and a
+            # Ray task RETRY overwrites its own files instead of duplicating
+            # rows (uuid names double-absorbed on retry — exact-resume
+            # breaker)
+            blob = f"e{epoch}-s{seq.min()}"
+            # sorted by shard for reader locality
+            write_groups(out.select(self.ABSORB_COLUMNS).sort_by("shard"),
+                         absorb_dir, f"part-{blob}.arrow")
+            os.makedirs(log_dir, exist_ok=True)
+            pq.write_table(log_projection(out),
+                           f"{log_dir}/part-{blob}.parquet")
+            return summary
         finally:
             pa.set_cpu_count(cpu)
             pa.set_io_thread_count(io)
 
-    def process(self, batch: pa.Table) -> tuple[int, int]:
-        """Run one batch; returns its (rows, bytes) summary."""
-        import numpy as np
-        import pyarrow.compute as pc
-        if self.seq_offsets is not None:
-            shard_np = batch.column("shard").to_numpy(zero_copy_only=False)
-            seq = (self.seq_offsets[shard_np]
-                   + batch.column("local_seq").to_numpy(zero_copy_only=False))
-            batch = batch.drop_columns(["local_seq"])
-            batch = batch.append_column(
-                "epoch", pa.array(np.full(len(seq), self.epoch,
-                                          dtype=np.int32), pa.int32()))
-            batch = batch.append_column("seq", pa.array(seq, pa.int64()))
-        out = self.discover(self.fetch(batch))
-        summary = (out.num_rows, int(pc.sum(out["read_size_b"]).as_py() or 0))
-        if out.num_rows == 0:
-            return summary  # nothing fetched → no absorb or log file
-        # deterministic per-batch name: seq values partition the epoch's task
-        # table, so (epoch, min seq) uniquely names this batch and a Ray task
-        # RETRY overwrites its own file instead of duplicating rows (uuid
-        # names double-absorbed on retry — exact-resume breaker)
-        blob = f"e{batch['epoch'][0].as_py()}-s{pc.min(batch['seq']).as_py()}"
-        # sorted by shard for reader locality
-        write_groups(out.select(self.ABSORB_COLUMNS).sort_by("shard"),
-                     self.absorb_dir, f"part-{blob}.arrow")
-        os.makedirs(self.log_dir, exist_ok=True)
-        pq.write_table(log_projection(out),
-                       f"{self.log_dir}/part-{blob}.parquet")
-        return summary
-
 
 @ray.remote
-def _run_bundle(stage: EpochStage, *blocks: dict) -> tuple[int, int]:
+def _run_bundle(stage: EpochStage, epoch: int, seq_offsets, absorb_dir: str,
+                log_dir: str, *blocks: dict) -> tuple[int, int]:
     """One stage task over one bundle of task blocks (ref arguments, so the
     scheduler places the task near its input)."""
-    return stage(task_table(blocks))
+    return stage(task_table(blocks), epoch, seq_offsets, absorb_dir, log_dir)
 
 
 def flatten_shard_refs(shard_refs: list[list], cfg: Config):
@@ -463,7 +461,6 @@ def log_projection(batch: pa.Table) -> pa.Table:
 class CrawlEngine:
     def __init__(self, cfg: Config, web_cfg: WebConfig, out_dir: str,
                  seeds: Optional[list[str]] = None, rules=None):
-        self.rules = rules
         self.cfg = cfg
         self.web_cfg = web_cfg
         self.out_dir = out_dir
@@ -491,6 +488,8 @@ class CrawlEngine:
                 scheduling_strategy="SPREAD").remote(s, cfg, web_cfg)
             for s in range(cfg.jobs.shard_total)
         ]
+        # the crawl's one stage, put once: every stage task gets it by ref
+        self._stage = ray.put(EpochStage(web_cfg, cfg, rules=rules))
         # run telemetry streams to per-epoch parquet partitions via bounded
         # buffers (reference: ClickHouse buffered writers,
         # clickhouse_utils.rs:37-121) — the driver holds NO run-length lists
@@ -740,66 +739,37 @@ class CrawlEngine:
 
     def _launch(self, permit: int, shard_refs: list[list], n_tasks: int,
                 t_permit: float) -> dict:
-        """Clear the permit's directories and start its stage; the barrier
-        happens later, in order, in ``_complete``. Stage tasks are
-        submitted now; an in-process stage runs at the permit's turn. The
-        entry pins the task blocks until completion, so a replay still has
-        them."""
-        t_launch = time.time()
+        """Clear the permit's directories and submit its stage tasks; the
+        barrier happens later, in order, in ``_complete``. The entry pins
+        the task blocks until completion, so a replay still has them."""
         self._clear_epoch(permit)
         off_arr, bundles = flatten_shard_refs(shard_refs, self.cfg)
         entry = {"permit": permit, "n_tasks": n_tasks, "t_permit": t_permit,
-                 "t_launch": t_launch, "off_arr": off_arr,
-                 "bundles": bundles, "refs": None}
-        if n_tasks >= self.cfg.engine.min_epoch_rows_for_ray:
-            self._start_stage(entry)
+                 "off_arr": off_arr, "bundles": bundles}
+        self._start_stage(entry)
         return entry
 
     def _start_stage(self, entry: dict) -> None:
-        """Start one permit's EpochStage over its task bundles; sets
-        ``entry["refs"]`` to the refs of its Ray tasks, ``[]`` if it
-        already ran.
-
-        Zero tasks run no stage and write no log partition, as in the
-        simulator. Below ``min_epoch_rows_for_ray`` tasks the stage runs
-        now, in-process on the driver, over the concatenated blocks (block
-        order = shard asc + local_seq asc, so the offsets yield a plain
-        arange of seq) and spools one stage-gauge row timed from the
-        permit's launch. Otherwise it is one Ray task per bundle, each
-        returning its stage summary; the blocks go as ref arguments, so
-        they never pass through the driver."""
-        cfg, permit, n_tasks = self.cfg, entry["permit"], entry["n_tasks"]
-        entry["refs"] = []
-        if not n_tasks:
-            return
-        log_dir, absorb_dir, _ = self._epoch_dirs(permit)
-        stage = EpochStage(self.web_cfg, cfg, absorb_dir, log_dir,
-                           rules=self.rules, epoch=permit,
-                           seq_offsets=entry["off_arr"])
-        if n_tasks < cfg.engine.min_epoch_rows_for_ray:
-            # process(), not stage(): the pool cap is for Ray workers only
-            rows, nbytes = stage.process(task_table(
-                ray.get([r for b in entry["bundles"] for r in b])))
-            self.spool.add("stage_gauges", [{
-                "epoch": permit,
-                "t_s": round(time.time() - entry["t_launch"], 3),
-                "rows": rows, "bytes": nbytes, "batches": 1}])
-            return
-        stage_ref = ray.put(stage)
-        entry["refs"] = [_run_bundle.remote(stage_ref, *b)
+        """Submit one Ray task (``_run_bundle``) per bundle of the permit's
+        task blocks over the crawl's one ``EpochStage``; sets
+        ``entry["refs"]`` to their refs, each returning its stage summary.
+        The blocks go as ref arguments, so they never pass through the
+        driver. A zero-task permit has no bundle, so it runs no stage and
+        writes no log partition, as in the simulator."""
+        log_dir, absorb_dir, _ = self._epoch_dirs(entry["permit"])
+        entry["refs"] = [_run_bundle.remote(self._stage, entry["permit"],
+                                            entry["off_arr"], absorb_dir,
+                                            log_dir, *b)
                          for b in entry["bundles"]]
         entry["t_submit"] = time.time()
 
     def _await_stage(self, entry: dict) -> None:
         """Wait until EVERY task of the permit's stage has finished, then
         raise the first failure, so no sibling task still writes files a
-        replay clears. A stage not started yet (in-process, or a replay)
-        starts now, on the driver thread. Every ``gauge_interval_s`` while
-        its tasks run (A5's 1 s cadence, crusty.rs:31-54), the summaries of
-        the tasks finished so far go to the stage gauges, so the operator
-        is not blind inside long stages."""
-        if entry["refs"] is None:
-            self._start_stage(entry)
+        replay clears. Every ``gauge_interval_s`` while its tasks run (A5's
+        1 s cadence, crusty.rs:31-54), the summaries of the tasks finished
+        so far go to the stage gauges, so the operator is not blind inside
+        long stages."""
         refs = entry["refs"]
         if not refs:
             return
@@ -832,9 +802,10 @@ class CrawlEngine:
         sequentially even though fetch compute overlapped. ``ahead`` is the
         permit whose window slot this completion frees: unless draining,
         the scoped shards dequeue it inside the deliver round, and its
-        (shard_refs, idles, dequeue time) come back. The permit stays in
-        the window until it is applied, so run()'s finally also waits out
-        a replay's tasks."""
+        (shard_refs, idles, dequeue time) come back. A failed stage is
+        cleared and submitted again once, and the wait repeats. The permit
+        stays in the window until it is applied, so run()'s finally also
+        waits out a replay's tasks."""
         entry = self._window[0]
         permit = entry["permit"]
         t_join0 = time.time()
@@ -850,15 +821,15 @@ class CrawlEngine:
             # crawl-log rows can never go silently missing.
             try:
                 self._clear_epoch(permit)
-                entry["refs"] = None
+                self._start_stage(entry)
                 self._await_stage(entry)
             except Exception as e:
                 raise RuntimeError(
                     f"permit {permit}: stage failed and the one idempotent "
                     f"replay also failed (first error: {first_err!r})") from e
         # stage tasks still running when its turn came = genuine compute
-        # overlap, NOT serialized barrier work; an in-process permit runs
-        # its whole stage inside this wait
+        # overlap, NOT serialized barrier work; a replayed permit's whole
+        # stage runs inside this wait
         join_wait = time.time() - t_join0
         absorb_apply, deliver, taken = self._barrier(
             permit, entry["n_tasks"], None if self._stop_requested else ahead)

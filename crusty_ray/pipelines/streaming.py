@@ -13,9 +13,8 @@ trading the determinism back:
   permits still in flight to be absorbed; a permit that waits for a window
   slot is dequeued inside the deliver round of the completion that frees
   it;
-- a permit runs the same ``EpochStage`` a BSP epoch runs: its Ray tasks
-  are submitted at launch, or, below ``min_epoch_rows_for_ray`` tasks, the
-  stage runs in-process on the driver thread at the permit's turn;
+- a permit runs the crawl's one ``EpochStage`` as a BSP epoch does: one
+  Ray task per bundle of its task blocks, submitted at launch;
 - permit *completions* run the barrier (absorb read + end_epoch + storage
   exchange + delivery) strictly in permit order from the driver thread, so
   shard-state mutation stays sequential per shard while fetch compute

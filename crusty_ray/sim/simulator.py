@@ -53,7 +53,9 @@ class CrawlSimulator:
         self.web_cfg = web_cfg
         self.web = SyntheticWeb(web_cfg)
         self.fetcher = FetchStage(web_cfg, cfg, rules=rules)
-        self.discoverer = DiscoverStage(web_cfg, cfg, rules=rules)
+        self.discoverer = DiscoverStage(web_cfg, cfg,
+                                        self.fetcher.robots_rules,
+                                        rules=rules)
         self.shards = [ShardState(s, cfg, web_cfg) for s in range(cfg.jobs.shard_total)]
         self.topk = make_topk_state(cfg.topk)
         self.seeds = seeds if seeds is not None else self.web.seeds()

@@ -40,14 +40,16 @@ CANDIDATE_FIELDS = [
 class DiscoverStage:
     """Appends candidate-domain columns to fetch-result batches."""
 
-    def __init__(self, web_cfg: WebConfig, cfg: Config, rules=None):
+    def __init__(self, web_cfg: WebConfig, cfg: Config, robots, rules=None):
         from ..rules import DEFAULT_RULES
         self.rules = rules or DEFAULT_RULES
         self.web = SyntheticWeb(web_cfg)
         self.cfg = cfg
         self.tlds = DEFAULT_TLD_SET
         self._dns_cache: dict[str, object] = {}
-        self._robots_cache: dict[str, list] = {}
+        # domain → RobotsRules: the robots lookup of the FetchStage this
+        # stage runs beside, so the pair parses each robots.txt once
+        self._robots = robots
 
     def _resolve(self, domain: str):
         """(addr_key, shard) or None — memoized per actor."""
@@ -89,16 +91,6 @@ class DiscoverStage:
                 keys.append(got[0])
                 shards.append(got[1])
         return doms, keys, shards
-
-    def _robots(self, domain: str):
-        got = self._robots_cache.get(domain)
-        if got is None:
-            from .robots import parse_robots
-            got = parse_robots(self.web.robots_body(domain)
-                               if self.web is not None else None,
-                               self.cfg.crawl.user_agent)
-            self._robots_cache[domain] = got
-        return got
 
     def sched_filter(self, task_domain: str, depth: int,
                      links: list[str], rels: list[str]) -> list[str]:

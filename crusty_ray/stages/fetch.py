@@ -72,7 +72,8 @@ class FetchStage:
         self._extract = PARSERS[self.rules.parser if rules else parser]
         self._robots_cache: dict[str, RobotsRules] = {}
 
-    # robots are fetched once per domain and cached per actor (reference ST9)
+    # robots are fetched once per domain and cached per stage (reference
+    # ST9); the DiscoverStage beside this one looks them up here too
     def robots_rules(self, domain: str) -> RobotsRules:
         got = self._robots_cache.get(domain)
         if got is None:

@@ -42,7 +42,6 @@ def main() -> None:
     if os.path.isdir("/dev/shm"):
         cfg.engine.scratch_dir = "/dev/shm"
     cfg.engine.checkpoint_every_epochs = 6
-    cfg.engine.min_epoch_rows_for_ray = 256
     cfg.engine.max_epochs = 10
     # SMOKE_SPILL=<n>: force the spillable pending store + cuckoo memmap
     # paging through the FULL engine path (actors, exchanges, spill-aware

@@ -53,6 +53,15 @@ class TestConfigLayering:
         with pytest.raises(KeyError):
             load_config(str(p), env={})
 
+    def test_test_config_rejects_unknown_override(self):
+        import pytest
+        from crusty_ray.config import test_config
+        assert test_config(**{"engine.max_epochs": 7}).engine.max_epochs == 7
+        for key in ("engine.no_such_knob", "no_such_section.max_epochs",
+                    "engine.scratch_dir.x"):
+            with pytest.raises(KeyError):
+                test_config(**{key: 0})
+
     def test_repo_default_yaml_loads(self):
         import os
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

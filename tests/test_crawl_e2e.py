@@ -16,18 +16,10 @@ WEB_CFG = WebConfig(n_domains=60, max_pages_per_domain=20)
 
 
 def small_cfg(**over):
-    cfg = _test_config()
-    cfg.rules.total_link_budget = 30
-    cfg.rules.links_per_task_budget = 10
-    cfg.rules.max_level = 6
-    cfg.engine.max_epochs = 25
-    for k, v in over.items():
-        obj = cfg
-        *parts, last = k.split(".")
-        for p in parts:
-            obj = getattr(obj, p)
-        setattr(obj, last, v)
-    return cfg
+    return _test_config(**{"rules.total_link_budget": 30,
+                           "rules.links_per_task_budget": 10,
+                           "rules.max_level": 6, "engine.max_epochs": 25,
+                           **over})
 
 
 @pytest.fixture(scope="module")
@@ -101,23 +93,16 @@ class TestEngineMatchesSimulator:
         from crusty_ray.pipelines.crawl import CrawlEngine
         return CrawlEngine(cfg, WEB_CFG, str(tmp_path / "out"))
 
-    def test_inline_path_exact_match(self, ray_session, tmp_path, sim_result):
-        eng = self._engine(tmp_path, small_cfg()).run()
+    def test_ray_dataset_path_exact_match(self, ray_session, tmp_path, sim_result):
+        # small blocks: most epochs run as several stage tasks (one per
+        # bundle)
+        cfg = small_cfg(**{"engine.fetch_batch_size": 16})
+        eng = self._engine(tmp_path, cfg).run()
         edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
         pd.testing.assert_frame_equal(edf, sdf, check_dtype=False)
         assert eng.finished_domains == sim_result.finished_domains
         assert eng.topk_rows == sim_result.topk_rows
         assert eng.job_metrics == sim_result.job_metrics
-        assert eng.seen_filter_bytes() == sim_result.seen_filter_bytes()
-
-    def test_ray_dataset_path_exact_match(self, ray_session, tmp_path, sim_result):
-        # force every epoch through the Ray task path (one task per bundle)
-        cfg = small_cfg(**{"engine.min_epoch_rows_for_ray": 0,
-                           "engine.fetch_batch_size": 16})
-        eng = self._engine(tmp_path, cfg).run()
-        edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
-        pd.testing.assert_frame_equal(edf, sdf, check_dtype=False)
-        assert sorted(eng.finished_domains) == sorted(sim_result.finished_domains)
         assert eng.seen_filter_bytes() == sim_result.seen_filter_bytes()
 
     def test_multigroup_shards_exact_match(self, ray_session, tmp_path):
@@ -126,7 +111,6 @@ class TestEngineMatchesSimulator:
         # cross-group routing — the bench topology (32 shards), previously
         # uncovered by the conformance suite (tests used 4 shards = 1 group)
         cfg = small_cfg(**{"jobs.shard_total": 20, "jobs.shard_max": 20,
-                           "engine.min_epoch_rows_for_ray": 0,
                            "engine.fetch_batch_size": 16})
         sim = CrawlSimulator(cfg, WEB_CFG).run()
         eng = self._engine(tmp_path, cfg).run()
@@ -139,8 +123,7 @@ class TestEngineMatchesSimulator:
         # transient exchange on a RAM-backed scratch dir (bench setting) —
         # identical results, and the scratch root is cleaned up afterwards
         import os
-        cfg = small_cfg(**{"engine.min_epoch_rows_for_ray": 0,
-                           "engine.fetch_batch_size": 16,
+        cfg = small_cfg(**{"engine.fetch_batch_size": 16,
                            "engine.scratch_dir": str(tmp_path / "shm")})
         eng = self._engine(tmp_path, cfg).run()
         edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
@@ -212,14 +195,13 @@ def test_flatten_shard_refs_bundles():
 
 def test_task_blocks_round_trip(ray_session):
     """A take-ready list of 2.5 blocks' worth of tasks is three plain-column
-    blocks; through a stage task (``_run_bundle``) and through the
-    in-process path, the task table has the exact schema and a continuous
-    ``local_seq``. An empty list gives no block."""
-    import pyarrow as pa
+    blocks; through a stage task (``_run_bundle``) the task table has the
+    exact schema, a continuous ``local_seq`` and the tasks in order. An
+    empty list gives no block."""
     import ray
     from crusty_ray.pipelines.crawl import (TASK_SCHEMA, _run_bundle,
                                             flatten_shard_refs, task_blocks,
-                                            task_block_rows, task_table)
+                                            task_block_rows)
     cfg = small_cfg(**{"jobs.shard_total": 1, "jobs.shard_max": 1})
     cap = task_block_rows(cfg)
     n = cap * 5 // 2
@@ -235,17 +217,14 @@ def test_task_blocks_round_trip(ray_session):
     _, bundles = flatten_shard_refs([refs], cfg)
     assert len(bundles) == 3
 
-    def stage(table):  # a stand-in EpochStage, shipped by value
-        return table.schema, table.column("local_seq").to_pylist()
-    outs = ray.get([_run_bundle.remote(stage, *b) for b in bundles])
-    assert all(schema.equals(TASK_SCHEMA) for schema, _ in outs)
-    assert [s for _, seq in outs for s in seq] == list(range(n))
-
-    t = task_table(ray.get([r for b in bundles for r in b]))
-    assert t.schema.equals(TASK_SCHEMA)
-    assert t.column("local_seq").to_pylist() == list(range(n))
-    assert t.column("url").to_pylist() == [x["url"] for x in tasks]
-    assert t.column("depth").type == pa.int32()
+    def stage(table, *_permit):  # a stand-in EpochStage, shipped by value
+        return (table.schema, table.column("local_seq").to_pylist(),
+                table.column("url").to_pylist())
+    outs = ray.get([_run_bundle.remote(stage, 0, None, "", "", *b)
+                    for b in bundles])
+    assert all(schema.equals(TASK_SCHEMA) for schema, _, _ in outs)
+    assert [s for _, seq, _ in outs for s in seq] == list(range(n))
+    assert [u for _, _, urls in outs for u in urls] == [x["url"] for x in tasks]
 
 
 # Runs in its own process and Ray session: an actor may be placed on a
@@ -268,11 +247,10 @@ def heavy_modules(actor):
 
 web = WebConfig(n_domains=40, max_pages_per_domain=8)
 out = {}
-for mode, min_rows in (("bsp", 0), ("streaming", 2048)):
+for mode in ("bsp", "streaming"):
     cfg = test_config()
     cfg.engine.mode = mode
     cfg.engine.max_epochs = 12
-    cfg.engine.min_epoch_rows_for_ray = min_rows
     eng = CrawlEngine(cfg, web, os.path.join(sys.argv[1], mode)).run()
     out[mode] = {"pages": eng.pages_fetched_total,
                  "modules": ray.get([heavy_modules(a) for a in eng.actors])}
@@ -287,8 +265,7 @@ print(json.dumps(out))
 
 def test_shard_actors_import_no_ray_data(tmp_path):
     """No Arrow table crosses a Ray call in the crawl loop: after a BSP
-    crawl (stage tasks on Ray) and a streaming crawl (in-process stage),
-    no shard actor has imported ray.air, ray.data or pandas, and a
+    crawl and a streaming crawl, no shard actor has imported ray.air, ray.data or pandas, and a
     take_ready_refs block is a plain dict. Ray's pa.Table reducer imports
     all three in every fresh process that puts or gets a table."""
     import json
@@ -315,25 +292,25 @@ class TestAbsorbRetryIdempotent:
         attempt overwrite its absorb files and its crawl-log part, not
         duplicate them (ADVICE r1 #3)."""
         import os
-        import pyarrow as pa
+
+        import numpy as np
         import pyarrow.parquet as pq
-        from crusty_ray.pipelines.crawl import EpochStage
+        from crusty_ray.pipelines.crawl import (EpochStage, task_blocks,
+                                                task_table)
         cfg = small_cfg()
         absorb = str(tmp_path / "absorb")
         log_dir = str(tmp_path / "log")
-        stage = EpochStage(WEB_CFG, cfg, absorb, log_dir)
+        stage = EpochStage(WEB_CFG, cfg)
         n = 12
         web_seeds = [f"http://site{i:05d}.com/" for i in range(n)]
-        batch = pa.table({
-            "url": web_seeds,
-            "domain": [u[7:-1] for u in web_seeds],
-            "depth": pa.array([0] * n, pa.int32()),
-            "shard": pa.array([i % cfg.jobs.shard_total for i in range(n)],
-                              pa.int32()),
-            "epoch": pa.array([3] * n, pa.int32()),
-            "seq": pa.array(range(n), pa.int64()),
-        })
-        out1 = stage(batch)
+        batch = task_table(task_blocks(
+            [{"url": u, "domain": u[7:-1], "depth": 0,
+              "shard": i % cfg.jobs.shard_total}
+             for i, u in enumerate(web_seeds)], cfg))
+        # one list numbers every task: zero offsets make seq = local_seq
+        permit = (3, np.zeros(cfg.jobs.shard_total, np.int64), absorb,
+                  log_dir)
+        out1 = stage(batch, *permit)
 
         def snapshot():
             got = {}
@@ -345,7 +322,7 @@ class TestAbsorbRetryIdempotent:
 
         files1 = snapshot()
         assert files1, "absorb files written"
-        out2 = stage(batch)  # the "retry"
+        out2 = stage(batch, *permit)  # the "retry"
         files2 = snapshot()
         assert files1 == files2  # same names, same sizes — overwritten
         assert out1 == out2  # deterministic (rows, bytes) summary
@@ -392,10 +369,10 @@ class TestStageReplay:
         flag = str(tmp_path / "failed-once")
 
         @ray.remote
-        def run_bundle(stage, *blocks):
+        def run_bundle(stage, epoch, *args):
             from crusty_ray.pipelines.crawl import task_table
-            out = stage(task_table(blocks))
-            if stage.epoch == 2:
+            out = stage(task_table(args[3:]), epoch, *args[:3])
+            if epoch == 2:
                 try:  # exactly one task, across worker processes, fails
                     os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
                 except FileExistsError:
@@ -404,8 +381,7 @@ class TestStageReplay:
             return out
 
         monkeypatch.setattr(crawl, "_run_bundle", run_bundle)
-        cfg = small_cfg(**{"engine.min_epoch_rows_for_ray": 0,
-                           "engine.fetch_batch_size": 16})
+        cfg = small_cfg(**{"engine.fetch_batch_size": 16})
         eng = crawl.CrawlEngine(cfg, WEB_CFG, str(tmp_path / "out")).run()
         assert os.path.exists(flag)  # the injection actually fired
         edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
@@ -415,24 +391,32 @@ class TestStageReplay:
 
     def test_persistent_failure_aborts(self, ray_session, tmp_path,
                                        monkeypatch):
-        """An in-process stage that fails on its attempt and its replay
-        aborts the run before the epoch's state is applied."""
-        from crusty_ray.pipelines.crawl import CrawlEngine, EpochStage
+        """A stage task that fails inside its Ray worker on the attempt and
+        on the replay aborts the run before the epoch's state is applied."""
+        import os
+        import tempfile
 
-        orig = EpochStage.process
-        calls = {"n": 0}
+        import ray
+        from crusty_ray.pipelines import crawl
 
-        def broken(self, batch):
-            if self.epoch == 2:
-                calls["n"] += 1
+        calls = tmp_path / "calls"
+        calls.mkdir()
+        calls = str(calls)
+
+        @ray.remote
+        def run_bundle(stage, epoch, *args):
+            from crusty_ray.pipelines.crawl import task_table
+            if epoch == 2:  # one file per call, across worker processes
+                tempfile.mkstemp(dir=calls)
                 raise OSError("injected persistent stage failure")
-            return orig(self, batch)
+            return stage(task_table(args[3:]), epoch, *args[:3])
 
-        monkeypatch.setattr(EpochStage, "process", broken)
-        eng = CrawlEngine(small_cfg(), WEB_CFG, str(tmp_path / "out"))
+        monkeypatch.setattr(crawl, "_run_bundle", run_bundle)
+        eng = crawl.CrawlEngine(small_cfg(), WEB_CFG, str(tmp_path / "out"))
         with pytest.raises(RuntimeError, match="replay also failed"):
             eng.run()
-        assert calls["n"] == 2  # the attempt and its replay
+        # epoch 2 is one bundle: the attempt and its replay
+        assert len(os.listdir(calls)) == 2
         assert {m["epoch"] for m in eng.job_metrics} <= {0, 1}
 
 def test_compact_log_at_end(ray_session, tmp_path):

@@ -39,7 +39,6 @@ cfg.rules.total_link_budget = 30
 cfg.rules.links_per_task_budget = 10
 cfg.rules.max_level = 6
 cfg.engine.max_epochs = 20
-cfg.engine.min_epoch_rows_for_ray = 0   # force the distributed stage-task path
 web_cfg = WebConfig(n_domains=50, max_pages_per_domain=14)
 
 eng = CrawlEngine(cfg, web_cfg, sys.argv[1]).run()

@@ -67,14 +67,6 @@ class TestPluggableParser:
         assert r1 == r2
 
 
-def _no_p2(url, job_domain):
-    return "/p2" not in url
-
-
-def _html_only(status, content_type):
-    return content_type == "text/html"
-
-
 class TestCrawlRulesHooks:
     """User-extension surface (JobRules parity, reference rules.rs:55-102):
     custom filters alter the crawl identically in engine and simulator."""
@@ -91,6 +83,15 @@ class TestCrawlRulesHooks:
         cfg.rules.max_level = 5
         cfg.engine.max_epochs = 12
         web_cfg = WebConfig(n_domains=40, max_pages_per_domain=12)
+
+        # local functions ship by value to the stage's Ray workers, which
+        # cannot import this test module by name
+        def _no_p2(url, job_domain):
+            return "/p2" not in url
+
+        def _html_only(status, content_type):
+            return content_type == "text/html"
+
         rules = CrawlRules(parser="htmlparser", link_filter=_no_p2,
                            status_filter=_html_only)
 

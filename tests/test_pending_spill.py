@@ -187,8 +187,7 @@ def test_engine_sim_exact_with_spill(ray_session, tmp_path, threshold):
     from crusty_ray.pipelines.crawl import CrawlEngine
     from crusty_ray.sim.simulator import CrawlSimulator
 
-    cfg = test_config(**{"engine.min_epoch_rows_for_ray": 0,
-                         "engine.max_epochs": 12})
+    cfg = test_config(**{"engine.max_epochs": 12})
     cfg.engine.pending_spill_threshold = threshold
     cfg.engine.pending_spill_max_runs = 2
     cfg.engine.cuckoo_spill_bytes = 1 if threshold != (1 << 31) else 1 << 31

@@ -93,7 +93,6 @@ def test_engine_equals_simulator_random_configs(
     cfg.crawl.delay_jitter_epochs = delay_jitter
     cfg.crawl.job_hard_timeout_jitter_epochs = hard_jitter
     cfg.engine.max_epochs = 20
-    cfg.engine.min_epoch_rows_for_ray = 0
     cfg.engine.fetch_batch_size = 32
 
     sim = CrawlSimulator(cfg, web_cfg).run()

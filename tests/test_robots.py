@@ -178,3 +178,27 @@ class TestDatagenCorpus:
 def test_product_token_strips_version(agent):
     r = parse_robots("User-agent: crusty\nDisallow: /x/\n", agent)
     assert not r.allowed("http://x.com/x/1")
+
+
+def test_robots_parsed_once_per_stage_pair(monkeypatch):
+    """The fetch and discover stages of one pair share one robots cache:
+    a simulator crawl (which holds one pair) generates each domain's
+    robots.txt body at most once."""
+    from collections import Counter
+
+    from crusty_ray.config import test_config
+    from crusty_ray.sim.simulator import CrawlSimulator
+
+    calls = Counter()
+    orig = SyntheticWeb.robots_body
+
+    def counting(self, domain):
+        calls[domain] += 1
+        return orig(self, domain)
+
+    monkeypatch.setattr(SyntheticWeb, "robots_body", counting)
+    cfg = test_config(**{"rules.total_link_budget": 30,
+                         "rules.links_per_task_budget": 10,
+                         "rules.max_level": 6, "engine.max_epochs": 25})
+    CrawlSimulator(cfg, WebConfig(n_domains=40, max_pages_per_domain=16)).run()
+    assert calls and max(calls.values()) == 1

@@ -121,7 +121,6 @@ def test_streaming_overlaps_permits(ray_session, tmp_path):
 
     cfg = _cfg("streaming")
     cfg.engine.streaming_window = 2
-    cfg.engine.min_epoch_rows_for_ray = 0  # force stage tasks
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "s2")).run()
     assert eng.epochs_run > 2
     log = eng.read_crawl_log().to_pandas()
@@ -177,7 +176,6 @@ def test_streaming_survives_concurrent_path_resolution_import(ray_session,
     monkeypatch.setattr(path_util, "_is_http_filesystem", racy)
     cfg = _cfg("streaming")
     cfg.engine.streaming_window = 3
-    cfg.engine.min_epoch_rows_for_ray = 0  # every permit as stage tasks
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "race")).run()
     slog = eng.read_crawl_log().to_pandas()
     blog = bsp.read_crawl_log().to_pandas()
@@ -197,7 +195,6 @@ def test_streaming_writer_failure_transient_replayed(ray_session, tmp_path,
     bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
 
     cfg = _cfg("streaming")
-    cfg.engine.min_epoch_rows_for_ray = 0  # force stage-task permits
     orig = CrawlEngine._await_stage
     state = {"failed": 0}
 
@@ -229,7 +226,6 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
     from crusty_ray.pipelines.streaming import make_engine
 
     cfg = _cfg("streaming")
-    cfg.engine.min_epoch_rows_for_ray = 0
     calls = {"n": 0}
 
     def broken(self, entry):
@@ -245,13 +241,15 @@ def test_streaming_writer_failure_persistent_aborts(ray_session, tmp_path,
 
 def _bundle_task(body):
     """A stand-in for ``crawl._run_bundle`` whose worker-side body is
-    ``body(stage, table)``; defined locally, so it ships by value."""
+    ``body(epoch, run)``, ``run()`` being the real stage call; defined
+    locally, so it ships by value."""
     import ray
     from crusty_ray.pipelines.crawl import task_table
 
     @ray.remote
-    def run_bundle(stage, *blocks):
-        return body(stage, task_table(blocks))
+    def run_bundle(stage, epoch, *args):
+        return body(epoch, lambda: stage(task_table(args[3:]), epoch,
+                                         *args[:3]))
     return run_bundle
 
 
@@ -267,9 +265,9 @@ def test_streaming_worker_task_failure_replayed(ray_session, tmp_path,
 
     flag = str(tmp_path / "failed-once")
 
-    def fail_once_after_writing(stage, table):
-        out = stage(table)
-        if stage.epoch == 2:
+    def fail_once_after_writing(epoch, run):
+        out = run()
+        if epoch == 2:
             try:  # exactly one task, across worker processes, fails
                 os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
@@ -280,7 +278,6 @@ def test_streaming_worker_task_failure_replayed(ray_session, tmp_path,
     monkeypatch.setattr(crawl, "_run_bundle",
                         _bundle_task(fail_once_after_writing))
     cfg = _cfg("streaming")
-    cfg.engine.min_epoch_rows_for_ray = 0
     eng = make_engine(cfg, WEB_CFG, str(tmp_path / "wk")).run()
     assert os.path.exists(flag)  # the injection actually fired
 
@@ -308,20 +305,19 @@ def test_streaming_abort_leaves_no_task_writing(ray_session, tmp_path,
     marks.mkdir()
     marks = str(marks)
 
-    def fail_or_slow(stage, table):
+    def fail_or_slow(epoch, run):
         import tempfile
-        if stage.epoch == 2:
+        if epoch == 2:
             raise OSError("injected persistent worker-task failure")
-        tempfile.mkstemp(prefix=f"start-{stage.epoch}-", dir=marks)
-        if stage.epoch > 2:
+        tempfile.mkstemp(prefix=f"start-{epoch}-", dir=marks)
+        if epoch > 2:
             time.sleep(1.0)
-        out = stage(table)
-        tempfile.mkstemp(prefix=f"end-{stage.epoch}-", dir=marks)
+        out = run()
+        tempfile.mkstemp(prefix=f"end-{epoch}-", dir=marks)
         return out
 
     monkeypatch.setattr(crawl, "_run_bundle", _bundle_task(fail_or_slow))
     cfg = _cfg("streaming")
-    cfg.engine.min_epoch_rows_for_ray = 0
     cfg.engine.streaming_window = 3
     out = tmp_path / "abort"
     eng = make_engine(cfg, WEB_CFG, str(out))
@@ -343,38 +339,6 @@ def test_streaming_abort_leaves_no_task_writing(ray_session, tmp_path,
     before = files()
     time.sleep(1.5)
     assert files() == before
-
-
-def test_streaming_in_process_failure_replayed(ray_session, tmp_path,
-                                               monkeypatch):
-    """An in-process permit (the default min_epoch_rows_for_ray) that fails
-    after writing its files is replayed like a Dataset permit: the replayed
-    crawl equals BSP's (domain, url) set, with no duplicated rows."""
-    from crusty_ray.pipelines.crawl import EpochStage
-    from crusty_ray.pipelines.streaming import make_engine
-
-    bsp = make_engine(_cfg("bsp"), WEB_CFG, str(tmp_path / "bspref")).run()
-
-    orig = EpochStage.process
-    state = {"failed": 0}
-
-    def fail_once_after_writing(self, batch):
-        out = orig(self, batch)
-        if self.epoch == 2 and state["failed"] < 1:
-            state["failed"] += 1
-            raise OSError("injected in-process stage failure")
-        return out
-
-    monkeypatch.setattr(EpochStage, "process", fail_once_after_writing)
-    eng = make_engine(_cfg("streaming"), WEB_CFG, str(tmp_path / "inl")).run()
-    assert state["failed"] == 1  # the injection actually fired
-
-    slog = eng.read_crawl_log().to_pandas()
-    blog = bsp.read_crawl_log().to_pandas()
-    assert not slog.duplicated(["domain", "url"]).any()
-    assert (sorted(zip(slog["domain"], slog["url"]))
-            == sorted(zip(blog["domain"], blog["url"])))
-    assert sorted(eng.finished_domains) == sorted(bsp.finished_domains)
 
 
 def test_streaming_periodic_checkpoint_hard_crash(ray_session, tmp_path):

@@ -199,7 +199,6 @@ def test_sketch_mode_exchange_path_matches_simulator(ray_session, tmp_path):
     cfg.rules.links_per_task_budget = 8
     cfg.rules.max_level = 5
     cfg.engine.max_epochs = 12
-    cfg.engine.min_epoch_rows_for_ray = 0   # force exchange epochs
     cfg.topk.use_sketch = True
     cfg.topk.consume_every_epochs = 5
     cfg.topk.width = 512

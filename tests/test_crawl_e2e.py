@@ -93,6 +93,18 @@ class TestEngineMatchesSimulator:
         from crusty_ray.pipelines.crawl import CrawlEngine
         return CrawlEngine(cfg, WEB_CFG, str(tmp_path / "out"))
 
+    def test_inline_path_exact_match(self, ray_session, tmp_path, sim_result):
+        # default block size: a permit of this small web mostly fits one
+        # bundle, so an epoch runs as a single stage task — the case the
+        # deleted in-process placement used to take
+        eng = self._engine(tmp_path, small_cfg()).run()
+        edf, sdf = log_df(eng.read_crawl_log()), log_df(sim_result.crawl_log)
+        pd.testing.assert_frame_equal(edf, sdf, check_dtype=False)
+        assert eng.finished_domains == sim_result.finished_domains
+        assert eng.topk_rows == sim_result.topk_rows
+        assert eng.job_metrics == sim_result.job_metrics
+        assert eng.seen_filter_bytes() == sim_result.seen_filter_bytes()
+
     def test_ray_dataset_path_exact_match(self, ray_session, tmp_path, sim_result):
         # small blocks: most epochs run as several stage tasks (one per
         # bundle)

@@ -14,7 +14,10 @@ always runs; user hooks append at the chain positions the reference's
                      (a user ``status_filters.push``).
 
 Hooks must be picklable (module-level functions / functools.partial): they
-ship to Ray workers inside the stage instances.
+ship to Ray workers inside the stage instances, on every crawl however
+small. A module-level hook pickles by reference, so its module must be
+importable on the workers; a hook defined inside a function (or in
+``__main__``) is shipped by value.
 """
 
 from __future__ import annotations

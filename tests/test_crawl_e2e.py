@@ -277,9 +277,11 @@ print(json.dumps(out))
 
 def test_shard_actors_import_no_ray_data(tmp_path):
     """No Arrow table crosses a Ray call in the crawl loop: after a BSP
-    crawl and a streaming crawl, no shard actor has imported ray.air, ray.data or pandas, and a
-    take_ready_refs block is a plain dict. Ray's pa.Table reducer imports
-    all three in every fresh process that puts or gets a table."""
+    crawl and a streaming crawl, no shard actor has imported ray.air,
+    ray.data or pandas, and a take_ready_refs block is a plain dict. Ray's
+    pa.Table reducer imports all three in every fresh process that puts or
+    gets a table. The streaming crawl covers what the BSP one does not:
+    permits dequeued while others are in flight (window > 1)."""
     import json
     import os
     import subprocess
@@ -407,6 +409,7 @@ class TestStageReplay:
         on the replay aborts the run before the epoch's state is applied."""
         import os
         import tempfile
+        from collections import Counter
 
         import ray
         from crusty_ray.pipelines import crawl
@@ -417,9 +420,12 @@ class TestStageReplay:
 
         @ray.remote
         def run_bundle(stage, epoch, *args):
+            import hashlib
+
             from crusty_ray.pipelines.crawl import task_table
-            if epoch == 2:  # one file per call, across worker processes
-                tempfile.mkstemp(dir=calls)
+            if epoch == 2:  # one file per call, named by its bundle
+                key = hashlib.md5(args[3]["url"][0].encode()).hexdigest()
+                tempfile.mkstemp(prefix=key + ".", dir=calls)
                 raise OSError("injected persistent stage failure")
             return stage(task_table(args[3:]), epoch, *args[:3])
 
@@ -427,8 +433,9 @@ class TestStageReplay:
         eng = crawl.CrawlEngine(small_cfg(), WEB_CFG, str(tmp_path / "out"))
         with pytest.raises(RuntimeError, match="replay also failed"):
             eng.run()
-        # epoch 2 is one bundle: the attempt and its replay
-        assert len(os.listdir(calls)) == 2
+        # every bundle of epoch 2 ran twice: the attempt and its replay
+        per_bundle = Counter(n.split(".")[0] for n in os.listdir(calls))
+        assert per_bundle and set(per_bundle.values()) == {2}
         assert {m["epoch"] for m in eng.job_metrics} <= {0, 1}
 
 def test_compact_log_at_end(ray_session, tmp_path):
